@@ -58,7 +58,7 @@ fn main() -> ExitCode {
 
     let (program, workload_key) = if opts.livermore {
         let suite = pipe_workloads::livermore_benchmark();
-        println!(
+        eprintln!(
             "running the Livermore benchmark ({} instructions)",
             suite.expected_instructions()
         );

@@ -39,14 +39,54 @@ fn sim_runs_a_program() {
     assert!(stdout.contains("instructions:  13"), "{stdout}");
 }
 
+/// Whether `text` is exactly one JSON object: it opens with `{` and the
+/// brace that closes it is the last non-whitespace character (braces
+/// inside strings do not count).
+fn is_one_json_object(text: &str) -> bool {
+    let text = text.trim();
+    if !text.starts_with('{') {
+        return false;
+    }
+    let (mut depth, mut in_string, mut escaped) = (0i32, false, false);
+    for (i, c) in text.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1 == text.len();
+                }
+            }
+            _ => {}
+        }
+    }
+    false
+}
+
 #[test]
 fn sim_json_output() {
     let src = write_temp("json.s", PROGRAM);
-    let out = pipe_sim().arg(&src).arg("--json").output().expect("spawn");
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.trim_start().starts_with('{'), "{stdout}");
-    assert!(stdout.contains("\"instructions\":13"), "{stdout}");
+    let src = src.to_str().unwrap();
+    for (args, needle) in [
+        (vec![src, "--json"], "\"instructions\":13"),
+        (vec!["--livermore", "--json"], "\"instructions\":150575"),
+    ] {
+        let out = pipe_sim().args(&args).output().expect("spawn");
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(is_one_json_object(&stdout), "{args:?}: {stdout}");
+        assert!(stdout.contains(needle), "{args:?}: {stdout}");
+    }
 }
 
 #[test]

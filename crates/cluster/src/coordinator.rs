@@ -394,7 +394,7 @@ impl Coordinator {
         store_ok: &AtomicBool,
         total: usize,
     ) -> Result<bool, FailedPoint> {
-        let hash = fnv1a64(job.key());
+        let hash = fnv1a64(job.key().as_bytes());
         let body = point_body(job, common);
         let mut attempted = vec![false; states.len()];
         let mut first = true;

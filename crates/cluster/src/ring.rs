@@ -51,7 +51,10 @@ impl HashRing {
         let mut points = Vec::with_capacity(addrs.len() * replicas);
         for (index, addr) in addrs.iter().enumerate() {
             for replica in 0..replicas {
-                points.push((mix64(fnv1a64(&format!("{addr}#{replica}"))), index));
+                points.push((
+                    mix64(fnv1a64(format!("{addr}#{replica}").as_bytes())),
+                    index,
+                ));
             }
         }
         points.sort_unstable();
@@ -100,7 +103,7 @@ mod tests {
     fn assignment_is_deterministic_and_total() {
         let ring = HashRing::new(&addrs(4));
         for i in 0..1000u64 {
-            let hash = fnv1a64(&format!("key-{i}"));
+            let hash = fnv1a64(format!("key-{i}").as_bytes());
             let a = ring.assign(hash, |_| true).unwrap();
             let b = ring.assign(hash, |_| true).unwrap();
             assert_eq!(a, b);
@@ -113,7 +116,9 @@ mod tests {
         let ring = HashRing::new(&addrs(4));
         let mut counts: HashMap<usize, usize> = HashMap::new();
         for i in 0..4000u64 {
-            let worker = ring.assign(fnv1a64(&format!("key-{i}")), |_| true).unwrap();
+            let worker = ring
+                .assign(fnv1a64(format!("key-{i}").as_bytes()), |_| true)
+                .unwrap();
             *counts.entry(worker).or_default() += 1;
         }
         for worker in 0..4 {
@@ -129,7 +134,7 @@ mod tests {
         let ring = HashRing::new(&addrs(4));
         let dead = 2usize;
         for i in 0..1000u64 {
-            let hash = fnv1a64(&format!("key-{i}"));
+            let hash = fnv1a64(format!("key-{i}").as_bytes());
             let before = ring.assign(hash, |_| true).unwrap();
             let after = ring.assign(hash, |w| w != dead).unwrap();
             if before != dead {
@@ -158,7 +163,7 @@ mod tests {
         let ring_fwd = HashRing::new(&fwd);
         let ring_rev = HashRing::new(&rev);
         for i in 0..500u64 {
-            let hash = fnv1a64(&format!("key-{i}"));
+            let hash = fnv1a64(format!("key-{i}").as_bytes());
             let a = &fwd[ring_fwd.assign(hash, |_| true).unwrap()];
             let b = &rev[ring_rev.assign(hash, |_| true).unwrap()];
             assert_eq!(a, b);

@@ -314,6 +314,10 @@ impl<S: TraceSink> Processor<S> {
     /// with [`stats`](Self::stats) or take them with
     /// [`into_stats`](Self::into_stats) (no clone either way).
     ///
+    /// After every cycle that issued nothing, the run skips any provably
+    /// idle stall window (see `fast_forward_stall`), so the statistics
+    /// are bit-identical to ticking every cycle with [`step`](Self::step).
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::Decode`] on an undecodable instruction and
@@ -324,7 +328,15 @@ impl<S: TraceSink> Processor<S> {
             if self.cycle >= self.max_cycles {
                 return Err(SimError::Timeout { cycles: self.cycle });
             }
+            let issued_before = self.stats.instructions_issued;
             self.step()?;
+            // Only probe for a quiet window after a cycle that failed to
+            // issue: a window opening right after an issue is caught one
+            // (cheap) step later, and skipping the probe on issuing cycles
+            // keeps it off the throughput path.
+            if self.stats.instructions_issued == issued_before {
+                self.fast_forward_stall();
+            }
         }
         self.finalize_stats();
         Ok(())
@@ -332,16 +344,12 @@ impl<S: TraceSink> Processor<S> {
 
     /// Copies the final cycle count and the fetch/memory snapshots into
     /// the statistics — the epilogue [`run`](Self::run) performs after the
-    /// loop, shared with the batched kernel.
-    pub(crate) fn finalize_stats(&mut self) {
+    /// loop. A caller driving the processor with [`step`](Self::step)
+    /// calls it once [`is_done`](Self::is_done) holds.
+    pub fn finalize_stats(&mut self) {
         self.stats.cycles = self.cycle;
         self.stats.fetch = self.fetch.stats().clone();
         self.stats.mem = self.mem.stats().clone();
-    }
-
-    /// The configured cycle budget.
-    pub(crate) fn max_cycles(&self) -> u64 {
-        self.max_cycles
     }
 
     /// Consumes the processor, returning the accumulated statistics by
@@ -527,8 +535,8 @@ impl<S: TraceSink> Processor<S> {
     /// * the memory system reports a quiet window: no beat, no
     ///   acceptance, no state transition before the wakeup cycle.
     ///
-    /// The window is clamped to `max_cycles` so a deadlocked lane times
-    /// out on exactly the same cycle as the scalar path.
+    /// The window is clamped to `max_cycles` so a deadlocked run times
+    /// out on exactly the same cycle as a ticked one.
     pub(crate) fn fast_forward_stall(&mut self) -> u64 {
         if self.trace.enabled() || self.pbr.is_some() {
             return 0;
@@ -878,7 +886,7 @@ pub fn run_decoded(
 mod tests {
     use super::*;
     use crate::config::FetchStrategy;
-    use pipe_icache::{CacheConfig, PipeFetchConfig};
+    use pipe_icache::{CacheConfig, PipeFetchConfig, TibConfig};
     use pipe_isa::{Assembler, InstrFormat};
     use pipe_mem::MemConfig;
 
@@ -1295,5 +1303,112 @@ mod tests {
             .unwrap();
             assert!(stats.cycles >= perfect.cycles, "{fetch}");
         }
+    }
+
+    /// A loop with loads, stores and taken branches — exercises every
+    /// stall class.
+    const STALL_WORKLOAD: &str = r#"
+        lim  r1, 0x200
+        lim  r2, 0
+        lim  r3, 6
+        lbr  b0, loop
+        loop: sta r1, 0
+        or   r7, r2, r2
+        ldw  r1, 0
+        add  r2, r7, r7
+        addi r1, r1, 4
+        subi r3, r3, 1
+        pbr.nez b0, r3, 1
+        nop
+        halt
+    "#;
+
+    fn decoded(src: &str) -> Arc<DecodedProgram> {
+        Arc::new(DecodedProgram::new(asm(src)))
+    }
+
+    /// The reference [`Processor::run`] must match: every cycle ticked
+    /// with `step`, never fast-forwarded.
+    fn ticked(program: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
+        let mut proc = Processor::from_decoded(program, config)?;
+        while !proc.is_done() {
+            if proc.cycle() >= config.max_cycles {
+                return Err(SimError::Timeout {
+                    cycles: proc.cycle(),
+                });
+            }
+            proc.step()?;
+        }
+        proc.finalize_stats();
+        Ok(proc.into_stats())
+    }
+
+    #[test]
+    fn fast_forward_matches_ticked_across_engines() {
+        let program = decoded(STALL_WORKLOAD);
+        let slow = |fetch| SimConfig {
+            fetch,
+            mem: MemConfig {
+                access_cycles: 6,
+                ..MemConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        for config in [
+            slow(FetchStrategy::Perfect),
+            slow(FetchStrategy::conventional(CacheConfig::new(64, 16))),
+            slow(FetchStrategy::Pipe(PipeFetchConfig::table2(64, 16, 16, 16))),
+            slow(FetchStrategy::Tib(TibConfig::with_budget(64, 16))),
+            SimConfig::default(),
+        ] {
+            assert_eq!(
+                run_decoded(&program, &config),
+                ticked(&program, &config),
+                "fast-forwarded run diverged under {}",
+                config.fetch
+            );
+        }
+    }
+
+    #[test]
+    fn fast_forward_accounts_identically_to_ticked_cycles() {
+        // Slow memory under perfect fetch: long data-wait windows that the
+        // fast-forward provably skips, probed after every step.
+        let program = decoded(STALL_WORKLOAD);
+        let config = SimConfig {
+            fetch: FetchStrategy::Perfect,
+            mem: MemConfig {
+                access_cycles: 9,
+                ..MemConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let reference = ticked(&program, &config).expect("ticked run");
+
+        let mut proc = Processor::from_decoded(&program, &config).expect("config valid");
+        let mut skipped = 0;
+        while !proc.is_done() {
+            proc.step().expect("step");
+            skipped += proc.fast_forward_stall();
+        }
+        proc.finalize_stats();
+        assert!(skipped > 0, "slow loads must open fast-forward windows");
+        assert_eq!(reference, proc.into_stats());
+        assert_eq!(run_decoded(&program, &config), Ok(reference));
+    }
+
+    #[test]
+    fn fast_forward_times_out_at_exactly_max_cycles() {
+        // Reading r7 with no load in flight deadlocks in one long quiet
+        // window; the skip must stop on the budget, not past it.
+        let program = decoded("or r1, r7, r7\nhalt\n");
+        let config = SimConfig {
+            fetch: FetchStrategy::Perfect,
+            max_cycles: 1234,
+            ..SimConfig::default()
+        };
+        let err = run_decoded(&program, &config).unwrap_err();
+        assert_eq!(err, SimError::Timeout { cycles: 1234 });
+        assert_eq!(ticked(&program, &config), Err(err));
     }
 }

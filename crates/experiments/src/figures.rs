@@ -296,7 +296,6 @@ pub fn try_joint_id_figure_with_workload(
                 acc.computed += outcome.computed;
                 acc.cached += outcome.cached;
                 acc.failed.extend(outcome.failed);
-                acc.batches.extend(outcome.batches);
                 acc.store_degraded |= outcome.store_degraded;
                 acc.events_path = outcome.events_path.or(acc.events_path);
                 acc.wall += outcome.wall;

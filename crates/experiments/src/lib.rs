@@ -46,7 +46,7 @@ pub use json::stats_json;
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 pub use profile::{per_loop_profile, render_profile, render_profile_csv, LoopProfile, LoopShare};
 pub use report::{check_expectations, render_csv, render_failures, render_text};
-pub use runner::{run_point, try_run_point, try_run_points_batched, ExperimentPoint};
+pub use runner::{run_point, try_run_point, ExperimentPoint};
 pub use store::{fnv1a64, PruneReport, ResultStore, StoreError, StoredPoint};
 pub use svg::render_figure_svg;
 pub use sweep::{

@@ -96,15 +96,9 @@ impl fmt::Display for StoreError {
 
 impl Error for StoreError {}
 
-/// FNV-1a 64-bit hash of `key` — stable across runs and platforms.
-pub fn fnv1a64(key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64-bit hash, stable across runs and platforms: store file
+/// names are the hash of the entry's key bytes.
+pub use pipe_trace::fnv1a64;
 
 /// One persisted experiment point.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,7 +296,8 @@ impl ResultStore {
     }
 
     fn path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", fnv1a64(key)))
+        self.dir
+            .join(format!("{:016x}.json", fnv1a64(key.as_bytes())))
     }
 
     /// Whether a point for `key` has already been computed.
@@ -351,7 +346,7 @@ impl ResultStore {
         let path = self.path_for(&entry.key);
         let tmp = self.dir.join(format!(
             "{:016x}.tmp.{}.{}",
-            fnv1a64(&entry.key),
+            fnv1a64(entry.key.as_bytes()),
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
@@ -469,7 +464,7 @@ impl ResultStore {
                     }
                 }
                 Some(entry) => {
-                    if name == format!("{:016x}.json", fnv1a64(&entry.key)) {
+                    if name == format!("{:016x}.json", fnv1a64(entry.key.as_bytes())) {
                         report.kept += 1;
                     } else if remove(&path)? {
                         report.removed_hash += 1;
@@ -570,14 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64("a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64("foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn json_round_trips() {
         let entry = sample("v1|fetch=pipe:size=64");
         let parsed = StoredPoint::from_json(&entry.to_json()).unwrap();
@@ -658,7 +645,7 @@ mod tests {
         store.save(&entry).unwrap();
         let path = store
             .dir()
-            .join(format!("{:016x}.json", fnv1a64(&entry.key)));
+            .join(format!("{:016x}.json", fnv1a64(entry.key.as_bytes())));
 
         // Truncated mid-file.
         let full = std::fs::read_to_string(&path).unwrap();
@@ -688,8 +675,10 @@ mod tests {
         std::fs::copy(
             store
                 .dir()
-                .join(format!("{:016x}.json", fnv1a64(&entry.key))),
-            store.dir().join(format!("{:016x}.json", fnv1a64(other))),
+                .join(format!("{:016x}.json", fnv1a64(entry.key.as_bytes()))),
+            store
+                .dir()
+                .join(format!("{:016x}.json", fnv1a64(other.as_bytes()))),
         )
         .unwrap();
         match store.load(other) {
@@ -844,7 +833,9 @@ mod tests {
         let old = sample("v1|old-version");
         let old_json = old.to_json().replace("\"version\":1", "\"version\":999");
         std::fs::write(
-            store.dir().join(format!("{:016x}.json", fnv1a64(&old.key))),
+            store
+                .dir()
+                .join(format!("{:016x}.json", fnv1a64(old.key.as_bytes()))),
             old_json,
         )
         .unwrap();

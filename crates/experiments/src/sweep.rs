@@ -10,15 +10,11 @@
 //! deterministic, and only the collection order could differ — which the
 //! index-addressed slots pin down.
 //!
-//! Because a spec has exactly one workload, every job shares the same
-//! predecoded program; the runner therefore groups pending jobs into
-//! same-workload batches (up to [`SweepRunner::batch`] lanes, capped so
-//! every worker thread still gets work) and dispatches each batch through
-//! the batched kernel ([`pipe_core::run_batch`]), which drives all lanes
-//! over the shared program in one pass with stall fast-forwarding.
-//! Singleton groups — and trace workloads, which replay through a
-//! different engine — fall back to the scalar path. Both paths produce
-//! bit-identical statistics, so batching is purely a throughput choice.
+//! Because a spec has exactly one workload, the runner decodes it once
+//! and every job shares the same predecoded program; workers then take
+//! pending jobs one point at a time. Each point runs through
+//! [`pipe_core::run_decoded`], which fast-forwards provably idle stall
+//! windows, or — for trace workloads — through the trace replay engine.
 //!
 //! With a [`ResultStore`] attached and resume enabled, each job's
 //! canonical configuration key (see [`SweepJob::key`]) is checked against
@@ -63,7 +59,7 @@ use crate::backoff::{BackoffPolicy, Retry};
 use crate::events::RunLog;
 use crate::figures::{figure_mem, Series};
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
-use crate::runner::{try_run_point_decoded, try_run_points_batched, ExperimentPoint};
+use crate::runner::{try_run_point_decoded, ExperimentPoint};
 use crate::store::{ResultStore, StoredPoint};
 
 /// The benchmark a sweep runs. Declarative (rather than a prebuilt
@@ -161,7 +157,7 @@ impl WorkloadSpec {
             .map_err(|e| format!("{name} does not assemble: {e}"))?;
         Ok(WorkloadSpec::Asm {
             name: name.to_string(),
-            fnv: crate::store::fnv1a64(lib.source),
+            fnv: crate::store::fnv1a64(lib.source.as_bytes()),
             format,
         })
     }
@@ -452,10 +448,6 @@ pub struct SweepOutcome {
     pub cached: usize,
     /// Jobs that failed, in expansion order.
     pub failed: Vec<FailedJob>,
-    /// Lane widths of the same-workload batches the pending (not
-    /// store-satisfied) jobs were grouped into, in dispatch order.
-    /// Width-1 groups ran on the scalar path.
-    pub batches: Vec<usize>,
     /// Whether store writes failed persistently and the run degraded to
     /// store-less execution.
     pub store_degraded: bool,
@@ -491,16 +483,11 @@ impl FaultInjection {
 }
 
 /// Shared per-run state handed to every worker: the (optional) event
-/// log, the store-health flag that flips when writes are exhausted, and
-/// the strict-mode cancellation flag.
+/// log and the store-health flag that flips when writes are exhausted.
 struct RunState<'a> {
     log: Option<&'a RunLog>,
     store_ok: &'a AtomicBool,
-    cancel: &'a AtomicBool,
 }
-
-/// Default maximum lanes per batched simulation call.
-const DEFAULT_BATCH: usize = 8;
 
 /// Executes [`SweepSpec`]s across worker threads with optional
 /// store-backed resume, structured event logging, and progress
@@ -508,7 +495,6 @@ const DEFAULT_BATCH: usize = 8;
 #[derive(Debug)]
 pub struct SweepRunner {
     jobs: usize,
-    batch: usize,
     store: Option<ResultStore>,
     resume: bool,
     progress: bool,
@@ -528,7 +514,6 @@ impl SweepRunner {
     pub fn new() -> SweepRunner {
         SweepRunner {
             jobs: 1,
-            batch: DEFAULT_BATCH,
             store: None,
             resume: false,
             progress: false,
@@ -541,15 +526,6 @@ impl SweepRunner {
     /// Sets the worker-thread count (0 is treated as 1).
     pub fn jobs(mut self, jobs: usize) -> SweepRunner {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Sets the maximum lanes per batched simulation call (default 8).
-    /// `1` disables batching: every point runs on the scalar path. The
-    /// effective width is further capped so every worker thread still
-    /// gets at least one batch.
-    pub fn batch(mut self, width: usize) -> SweepRunner {
-        self.batch = width.max(1);
         self
     }
 
@@ -674,38 +650,20 @@ impl SweepRunner {
         let run = RunState {
             log: log.as_ref(),
             store_ok: &store_ok,
-            cancel: &cancel,
         };
 
-        // Group the pending (same-workload) jobs into lockstep batches
-        // for the batched kernel. The width is capped so every worker
-        // thread still gets a batch: lanes amortize the shared program,
-        // threads amortize cores. Trace workloads replay through a
-        // different engine and always run scalar.
-        let width = match spec.workload {
-            WorkloadSpec::Trace { .. } => 1,
-            _ => {
-                let fair = pending.len().div_ceil(self.jobs.max(1)).max(1);
-                self.batch.clamp(1, fair)
-            }
-        };
-        let batches: Vec<&[&SweepJob]> = pending.chunks(width).collect();
-        let batch_widths: Vec<usize> = batches.iter().map(|b| b.len()).collect();
-
-        let workers = self.jobs.min(batches.len().max(1));
+        let workers = self.jobs.min(pending.len().max(1));
         if workers <= 1 {
-            for batch in &batches {
+            for job in &pending {
                 if cancel.load(Ordering::Relaxed) {
                     break;
                 }
-                for (index, result) in self.execute_batch(spec, batch, &program, total, 0, &run) {
-                    match result {
-                        Ok(outcome) => slots[index] = Some(outcome),
-                        Err(error) => {
-                            failed.push(failed_job(&jobs[index], error));
-                            if self.strict {
-                                cancel.store(true, Ordering::Relaxed);
-                            }
+                match self.execute(spec, job, &program, total, 0, &run) {
+                    Ok(outcome) => slots[job.index] = Some(outcome),
+                    Err(error) => {
+                        failed.push(failed_job(job, error));
+                        if self.strict {
+                            cancel.store(true, Ordering::Relaxed);
                         }
                     }
                 }
@@ -717,7 +675,7 @@ impl SweepRunner {
             // slot empty).
             let next = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, Result<PointOutcome, JobError>)>();
-            let batches = &batches;
+            let pending = &pending;
             let program = &program;
             let (cancel_ref, run_ref) = (&cancel, &run);
             std::thread::scope(|scope| {
@@ -729,13 +687,10 @@ impl SweepRunner {
                             break;
                         }
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(batch) = batches.get(i) else { break };
-                        let results =
-                            self.execute_batch(spec, batch, program, total, worker, run_ref);
-                        for pair in results {
-                            if tx.send(pair).is_err() {
-                                return;
-                            }
+                        let Some(job) = pending.get(i) else { break };
+                        let result = self.execute(spec, job, program, total, worker, run_ref);
+                        if tx.send((job.index, result)).is_err() {
+                            break;
                         }
                     });
                 }
@@ -776,16 +731,13 @@ impl SweepRunner {
         let computed = slots.iter().flatten().filter(|o| !o.cached).count();
         let wall = started.elapsed();
         if self.progress {
-            let widths: Vec<String> = batch_widths.iter().map(|w| w.to_string()).collect();
             eprintln!(
-                "[{}] sweep done: {} computed, {} cached, {} failed in {:.2}s; \
-                 batch widths [{}]",
+                "[{}] sweep done: {} computed, {} cached, {} failed in {:.2}s",
                 spec.id,
                 computed,
                 cached,
                 failed.len(),
                 wall.as_secs_f64(),
-                widths.join(", "),
             );
         }
         let outcome = SweepOutcome {
@@ -795,7 +747,6 @@ impl SweepRunner {
             store_degraded: !store_ok.load(Ordering::Relaxed),
             events_path: log.as_ref().map(|l| l.path().to_path_buf()),
             failed,
-            batches: batch_widths,
             wall,
         };
         if let Some(log) = &log {
@@ -856,116 +807,6 @@ impl SweepRunner {
                 None
             }
         }
-    }
-
-    /// Runs one same-workload batch through the batched kernel,
-    /// returning `(job index, result)` pairs. Singleton batches use the
-    /// scalar path directly. Each lane is charged an equal share of the
-    /// batch's wall time — the cost the point actually added to the
-    /// sweep — in progress output and the result store. A panic inside
-    /// the batched call poisons all of its lanes, so the fallback
-    /// retries each point alone under the scalar [`execute`]
-    /// (SweepRunner::execute), where only the offending job fails.
-    fn execute_batch(
-        &self,
-        spec: &SweepSpec,
-        batch: &[&SweepJob],
-        program: &Arc<DecodedProgram>,
-        total: usize,
-        worker: usize,
-        run: &RunState<'_>,
-    ) -> Vec<(usize, Result<PointOutcome, JobError>)> {
-        if batch.len() == 1 {
-            let job = batch[0];
-            return vec![(
-                job.index,
-                self.execute(spec, job, program, total, worker, run),
-            )];
-        }
-        if let Some(log) = run.log {
-            for job in batch {
-                log.job_start(job.index, job.kind.label(), job.cache_bytes, worker);
-            }
-        }
-        let inject_panic = batch
-            .iter()
-            .any(|j| self.inject.panic_jobs.contains(&j.index));
-        let lanes: Vec<(FetchStrategy, u32)> =
-            batch.iter().map(|j| (j.fetch, j.cache_bytes)).collect();
-        let t0 = Instant::now();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected panic (batched lanes)");
-            }
-            try_run_points_batched(program, &lanes, &spec.mem)
-        }));
-        let wall = t0.elapsed() / batch.len() as u32;
-        let Ok(points) = outcome else {
-            // Retry each point alone so only the offending job fails.
-            // Under strict, the first failed retry cancels the rest of
-            // the batch (they count as never started).
-            let mut out = Vec::with_capacity(batch.len());
-            for job in batch {
-                if run.cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                let result = self.execute(spec, job, program, total, worker, run);
-                if result.is_err() && self.strict {
-                    run.cancel.store(true, Ordering::Relaxed);
-                }
-                out.push((job.index, result));
-            }
-            return out;
-        };
-        batch
-            .iter()
-            .zip(points)
-            .map(|(job, point)| {
-                let result = match point {
-                    Ok(point) => {
-                        self.persist(spec, job, &point, wall, run);
-                        self.report(spec, job, point.cycles, wall, false, total);
-                        if let Some(log) = run.log {
-                            log.job_finish(
-                                job.index,
-                                job.kind.label(),
-                                job.cache_bytes,
-                                worker,
-                                point.cycles,
-                                wall.as_millis(),
-                            );
-                        }
-                        Ok(PointOutcome {
-                            point,
-                            wall,
-                            cached: false,
-                        })
-                    }
-                    Err(sim) => {
-                        let error = JobError::Sim(sim.to_string());
-                        eprintln!(
-                            "[{} {}/{}] FAILED {} @ {}B: {error}",
-                            spec.id,
-                            job.index + 1,
-                            total,
-                            job.kind.label(),
-                            job.cache_bytes,
-                        );
-                        if let Some(log) = run.log {
-                            log.job_failed(
-                                job.index,
-                                job.kind.label(),
-                                job.cache_bytes,
-                                worker,
-                                &error.to_string(),
-                            );
-                        }
-                        Err(error)
-                    }
-                };
-                (job.index, result)
-            })
-            .collect()
     }
 
     /// Simulates one point under `catch_unwind`, persists it (with retry
@@ -1213,41 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_matches_scalar_bit_for_bit() {
-        let spec = small_spec("batchdet");
-        let scalar = SweepRunner::new().batch(1).run(&spec);
-        let batched = SweepRunner::new().run(&spec);
-        // A serial runner batches all four pending jobs into one call;
-        // batch(1) forces four scalar singletons.
-        assert_eq!(scalar.batches, vec![1, 1, 1, 1]);
-        assert_eq!(batched.batches, vec![4]);
-        for (s, b) in scalar.series.iter().zip(&batched.series) {
-            assert_eq!(s.label, b.label);
-            let sc: Vec<_> = s
-                .points
-                .iter()
-                .map(|p| (p.cache_bytes, p.stats.clone()))
-                .collect();
-            let bc: Vec<_> = b
-                .points
-                .iter()
-                .map(|p| (p.cache_bytes, p.stats.clone()))
-                .collect();
-            assert_eq!(sc, bc, "batched lanes diverged under {}", s.label);
-        }
-    }
-
-    #[test]
-    fn batch_width_caps_to_keep_workers_busy() {
-        // Four pending jobs across two workers: an 8-wide batch request
-        // still splits into two batches so both threads get work.
-        let spec = small_spec("batchfair");
-        let outcome = SweepRunner::new().jobs(2).run(&spec);
-        assert_eq!(outcome.batches, vec![2, 2]);
-        assert!(outcome.is_complete());
-    }
-
-    #[test]
     fn resume_skips_stored_points() {
         let dir = std::env::temp_dir().join(format!("pipe-sweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1377,9 +1183,10 @@ mod tests {
         let paths: Vec<_> = jobs
             .iter()
             .map(|j| {
-                store
-                    .dir()
-                    .join(format!("{:016x}.json", crate::store::fnv1a64(j.key())))
+                store.dir().join(format!(
+                    "{:016x}.json",
+                    crate::store::fnv1a64(j.key().as_bytes())
+                ))
             })
             .collect();
         std::fs::write(&paths[0], "{truncated garbage").unwrap();

@@ -244,8 +244,8 @@ impl MemorySystem {
     /// when nothing is in flight and nothing is offered — the caller
     /// clamps against its own timeout horizon.
     ///
-    /// Used by the batched simulation kernel to fast-forward stalled
-    /// lanes; [`skip_quiet`](Self::skip_quiet) applies the window with the
+    /// Used by `Processor::run` to fast-forward a stalled processor;
+    /// [`skip_quiet`](Self::skip_quiet) applies the window with the
     /// exact statistics ticking those cycles would have accumulated.
     pub fn quiet_cycles(&self, offers_pending: bool) -> u64 {
         if self.streaming.is_some() {

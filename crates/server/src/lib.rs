@@ -30,8 +30,8 @@
 //!   plus JSONL lifecycle events in the PR 2 [`pipe_experiments::RunLog`]
 //!   format when `--events` is given.
 
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -235,12 +235,35 @@ impl Server {
     }
 }
 
+/// How long a rejected connection may keep the acceptor draining its
+/// unread request.
+const REJECT_DRAIN: Duration = Duration::from_millis(100);
+
 /// Answers `503 Service Unavailable` directly from the acceptor thread —
 /// the queue is full, so no worker is available to say so.
+///
+/// The request is never read, and closing a socket with unread input
+/// makes the kernel send a reset that can discard the 503 before the
+/// client reads it. So the write side is closed first and the input is
+/// drained until the client hangs up or [`REJECT_DRAIN`] runs out.
 fn reject_busy(mut stream: TcpStream) {
     let response =
         Response::error(503, "server busy; accept queue is full").header("retry-after", "1");
-    let _ = response.write_to(&mut stream);
+    if response.write_to(&mut stream).is_err() || stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + REJECT_DRAIN;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Serves one connection: parse, route, respond, log. Returns whether

@@ -418,15 +418,13 @@ fn run_sweep(state: &AppState, figure: &str, scale: u32, jobs: usize) -> Result<
         runner = runner.store(store.clone());
     }
     let outcome = runner.run(&spec);
-    let widths: Vec<String> = outcome.batches.iter().map(|w| w.to_string()).collect();
     let mut body = format!(
-        "{{\"id\":\"{}\",\"scale\":{scale},\"computed\":{},\"cached\":{},\"failed\":{},\"wall_ms\":{},\"batch_widths\":[{}],\"series\":[",
+        "{{\"id\":\"{}\",\"scale\":{scale},\"computed\":{},\"cached\":{},\"failed\":{},\"wall_ms\":{},\"series\":[",
         escape(&spec.id),
         outcome.computed,
         outcome.cached,
         outcome.failed.len(),
         outcome.wall.as_millis(),
-        widths.join(",")
     );
     for (i, series) in outcome.series.iter().enumerate() {
         if i > 0 {

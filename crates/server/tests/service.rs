@@ -140,7 +140,7 @@ fn store_hits_are_bit_identical_to_a_direct_run_across_restarts() {
     let entry_path = store
         .join("store")
         .join("v1")
-        .join(format!("{:016x}.json", fnv1a64(&key)));
+        .join(format!("{:016x}.json", fnv1a64(key.as_bytes())));
     assert!(entry_path.is_file(), "missing {}", entry_path.display());
 
     let _ = std::fs::remove_dir_all(&store);

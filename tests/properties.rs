@@ -665,19 +665,19 @@ fn predecode_matches_raw_decode_on_random_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Batched kernel: bit-identical to the scalar path.
+// Stall fast-forward: bit-identical to ticking every cycle.
 // ---------------------------------------------------------------------
 
 use std::sync::Arc;
 
-use pipe_repro::core::{run_batch, run_decoded};
+use pipe_repro::core::{run_decoded, SimError, SimStats};
 use pipe_repro::icache::TibConfig;
 use pipe_repro::isa::DecodedProgram;
 
-/// A random lane configuration: any engine, any cache size, any memory
+/// A random configuration: any engine, any cache size, any memory
 /// timing — including a deliberately tiny cycle budget now and then so
 /// timeout errors are covered too.
-fn random_lane(rng: &mut Rng) -> SimConfig {
+fn random_config(rng: &mut Rng) -> SimConfig {
     let cache_bytes = 1u32 << rng.range_u32(5, 10);
     let fetch = match rng.below(4) {
         0 => FetchStrategy::Perfect,
@@ -702,13 +702,27 @@ fn random_lane(rng: &mut Rng) -> SimConfig {
     }
 }
 
-/// The contract of `run_batch`: every lane's outcome — statistics on
-/// success, error on timeout — is bit-identical to `run_decoded` with
-/// the same configuration, over random programs and random lane mixes.
-/// This exercises the lockstep scheduler and the stall fast-forward
-/// against the plain cycle loop, which never fast-forwards.
+/// The ticked reference: every cycle stepped, never fast-forwarded.
+fn run_ticked(decoded: &Arc<DecodedProgram>, config: &SimConfig) -> Result<SimStats, SimError> {
+    let mut proc = Processor::from_decoded(decoded, config)?;
+    while !proc.is_done() {
+        if proc.cycle() >= config.max_cycles {
+            return Err(SimError::Timeout {
+                cycles: proc.cycle(),
+            });
+        }
+        proc.step()?;
+    }
+    proc.finalize_stats();
+    Ok(proc.into_stats())
+}
+
+/// The contract of the stall fast-forward inside `Processor::run`: every
+/// outcome — statistics on success, error (including the timeout cycle)
+/// otherwise — is bit-identical to the ticked reference, over random
+/// programs and random configurations.
 #[test]
-fn batched_lanes_match_scalar_on_random_programs() {
+fn fast_forward_matches_ticked_on_random_programs() {
     let mut rng = Rng::new(0x150b);
     for trial in 0..24 {
         let program = if trial % 2 == 0 {
@@ -724,7 +738,7 @@ fn batched_lanes_match_scalar_on_random_programs() {
             let pads = rng.range_u32(3, 8);
             let kernel = Kernel {
                 index: 97,
-                name: "batch-parity",
+                name: "ff-parity",
                 ops,
                 target_instructions: cost + 3 + pads,
             };
@@ -732,16 +746,12 @@ fn batched_lanes_match_scalar_on_random_programs() {
                 .expect("balanced groups satisfy the discipline")
         };
         let decoded = Arc::new(DecodedProgram::new(program));
-        let lanes: Vec<SimConfig> = (0..rng.range_u32(2, 9))
-            .map(|_| random_lane(&mut rng))
-            .collect();
-        let batched = run_batch(&decoded, &lanes);
-        assert_eq!(batched.len(), lanes.len());
-        for (lane, (config, batched)) in lanes.iter().zip(&batched).enumerate() {
-            let scalar = run_decoded(&decoded, config);
+        for i in 0..rng.range_u32(2, 9) {
+            let config = random_config(&mut rng);
             assert_eq!(
-                &scalar, batched,
-                "trial {trial} lane {lane} diverged under {:?}",
+                run_decoded(&decoded, &config),
+                run_ticked(&decoded, &config),
+                "trial {trial} config {i} diverged under {:?}",
                 config.fetch
             );
         }
