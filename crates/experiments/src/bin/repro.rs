@@ -3,16 +3,24 @@
 //! ```text
 //! repro [--all] [--table1] [--table2] [--fig4a ... --fig6b]
 //!       [--joint-id] [--ablation-access] [--ablation-priority]
-//!       [--ablation-prefetch] [--ablation-format] [--check]
-//!       [--csv-dir DIR] [--from-trace FILE]
+//!       [--ablation-prefetch] [--ablation-format] [--ablation-tib]
+//!       [--studies] [--profile] [--check]
+//!       [--csv-dir DIR] [--svg-dir DIR] [--from-trace FILE]
 //!       [--jobs N] [--resume] [--store DIR] [--progress]
 //!       [--strict] [--events DIR]
 //! ```
 //!
-//! With no arguments, runs everything except the ablations. `--check`
+//! With no arguments, runs the tables and figures. `--all` adds every
+//! ablation, the per-loop profile, and the design studies. `--check`
 //! verifies the paper's qualitative expectations and exits nonzero on a
-//! violation. `--csv-dir` additionally writes one CSV per figure (and,
-//! with `--profile`, one per-loop CSV per profiled strategy).
+//! violation. `--csv-dir` / `--svg-dir` additionally write one CSV / SVG
+//! per figure and ablation panel (and, with `--profile`, one per-loop CSV
+//! per profiled strategy).
+//!
+//! `--studies` runs the design studies beyond the printed figures (IQ/IQB
+//! sizes, partial lines, Hill prefetch, prefetch buffers, memory speed,
+//! external cache). `--profile` attributes cycles to each Livermore loop
+//! for PIPE 16-16 and the conventional cache at 128 B.
 //!
 //! `--joint-id` runs the joint I/D size sweep (an extension): I-cache
 //! sizes crossed with D-cache sizes on the assembled `matmul` program
@@ -25,30 +33,32 @@
 //! functional core, and the result store keys on the trace's content
 //! hash. Record a trace with `pipe-sim --livermore --record-trace`.
 //!
-//! The figure sweeps run on the parallel sweep engine: `--jobs N` spreads
-//! the points over N worker threads (cycle counts are bit-identical to a
-//! serial run), `--store DIR` persists every measured point to a
-//! content-addressed store under DIR (default `results/`), and
+//! Figures, ablations, and studies all run on the parallel sweep engine
+//! (the profile, which traces every cycle, runs alone): `--jobs N`
+//! spreads the points over N worker threads (cycle counts are
+//! bit-identical to a serial run), `--store DIR` persists every measured
+//! point to a content-addressed store under DIR (default `results/`), and
 //! `--resume` loads previously stored points instead of re-simulating
 //! them. `--progress` prints one line per point with its wall time.
 //!
-//! Sweeps are fault-tolerant: a failed point is reported (and marked
-//! missing in the table) while every other point completes, and the run
+//! Runs are fault-tolerant: a failed point is reported (and marked
+//! missing in its table) while every other point completes, and the run
 //! exits 0. `--strict` restores fail-fast semantics — the first failed
 //! point aborts with a nonzero exit. `--events DIR` appends a structured
-//! JSONL event log per figure to `DIR/events/` (defaults to the store
-//! root when a store is in use).
+//! JSONL event log per figure, ablation panel, and study to
+//! `DIR/events/` (defaults to the store root when a store is in use).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use pipe_experiments::figures::{
-    ablation, try_figure_with, try_figure_with_workload, try_joint_id_figure_with, Figure,
-    ALL_ABLATIONS, ALL_FIGURES,
+    try_ablation_with, try_figure_with, try_figure_with_workload, try_joint_id_figure_with, Figure,
+    FigureRun, ALL_ABLATIONS, ALL_FIGURES,
 };
 use pipe_experiments::report::{check_expectations, render_csv, render_failures, render_text};
 use pipe_experiments::store::ResultStore;
-use pipe_experiments::sweep::{FailedJob, SweepRunner, WorkloadSpec};
+use pipe_experiments::studies::ALL_STUDIES;
+use pipe_experiments::sweep::{FailedJob, SweepError, SweepRunner, WorkloadSpec};
 use pipe_experiments::tables::{render_table1, render_table2};
 
 struct Options {
@@ -207,6 +217,13 @@ fn emit(fig: &Figure, failed: &[FailedJob], opts: &Options, violations: &mut Vec
     println!();
 }
 
+/// Strict fail-fast: reports what completed, then aborts.
+fn abort(e: &SweepError) -> ExitCode {
+    eprintln!("repro: {e}");
+    print!("{}", render_failures(&e.partial().failed));
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -263,22 +280,18 @@ fn main() -> ExitCode {
     };
 
     let mut total_failed = 0usize;
+    let mut emit_run = |run: FigureRun| {
+        total_failed += run.failed().len();
+        emit(&run.figure, run.failed(), &opts, &mut violations);
+    };
     for id in &opts.figures {
         let result = match &trace_workload {
             Some(wl) => try_figure_with_workload(id, &runner, wl.clone()),
             None => try_figure_with(id, &runner),
         };
         match result {
-            Ok(run) => {
-                total_failed += run.failed().len();
-                emit(&run.figure, run.failed(), &opts, &mut violations);
-            }
-            Err(e) => {
-                // Strict fail-fast: report what completed, then abort.
-                eprintln!("repro: {e}");
-                print!("{}", render_failures(&e.partial().failed));
-                return ExitCode::FAILURE;
-            }
+            Ok(run) => emit_run(run),
+            Err(e) => return abort(&e),
         }
     }
 
@@ -286,21 +299,15 @@ fn main() -> ExitCode {
     // sizes on the assembled matmul program.
     if opts.joint_id {
         match try_joint_id_figure_with(&runner) {
-            Ok(run) => {
-                total_failed += run.failed().len();
-                emit(&run.figure, run.failed(), &opts, &mut violations);
-            }
-            Err(e) => {
-                eprintln!("repro: {e}");
-                print!("{}", render_failures(&e.partial().failed));
-                return ExitCode::FAILURE;
-            }
+            Ok(run) => emit_run(run),
+            Err(e) => return abort(&e),
         }
     }
 
     for id in &opts.ablations {
-        for fig in ablation(id) {
-            emit(&fig, &[], &opts, &mut violations);
+        match try_ablation_with(id, &runner) {
+            Ok(runs) => runs.into_iter().for_each(&mut emit_run),
+            Err(e) => return abort(&e),
         }
     }
 
@@ -329,41 +336,17 @@ fn main() -> ExitCode {
     }
 
     if opts.studies {
-        use pipe_experiments::studies::{
-            partial_line_study, queue_size_study, render_partial_line_study, render_queue_study,
-        };
-        let suite = pipe_workloads::livermore_benchmark();
-        let mem = pipe_mem::MemConfig {
-            access_cycles: 6,
-            in_bus_bytes: 8,
-            ..pipe_mem::MemConfig::default()
-        };
-        let sizes = [8u32, 16, 32];
-        let cells = queue_size_study(&suite, 64, 16, &mem, &sizes);
-        println!("{}", render_queue_study(&cells, &sizes));
-        let narrow = pipe_mem::MemConfig {
-            in_bus_bytes: 4,
-            ..mem
-        };
-        let rows = partial_line_study(&suite, &narrow, &[16, 32, 64, 128, 256, 512]);
-        println!("{}", render_partial_line_study(&rows));
-        use pipe_experiments::studies::{hill_prefetch_study, render_hill_study};
-        let rows = hill_prefetch_study(&suite, &mem, &[16, 32, 64, 128, 256, 512]);
-        println!("{}", render_hill_study(&rows));
-        use pipe_experiments::studies::{buffer_study, render_buffer_study};
-        let pipelined = pipe_mem::MemConfig {
-            pipelined: true,
-            access_cycles: 4,
-            ..mem
-        };
-        let rows = buffer_study(&suite, &pipelined, &[1, 2, 4, 8], None);
-        println!("{}", render_buffer_study(&rows));
-        use pipe_experiments::studies::{access_sweep_study, render_access_study};
-        let rows = access_sweep_study(&suite, 32, 8, &[1, 2, 3, 4, 5, 6, 8]);
-        println!("{}", render_access_study(&rows, 32));
-        use pipe_experiments::studies::{external_cache_study, render_ext_cache_study};
-        let rows = external_cache_study(&suite, &mem, 20, &[4096, 16384, 65536, 262144]);
-        println!("{}", render_ext_cache_study(&rows, 20));
+        let workload = WorkloadSpec::livermore();
+        for study in ALL_STUDIES {
+            match study.run(&runner, &workload) {
+                Ok(outcome) => {
+                    total_failed += outcome.failed.len();
+                    print!("{}", study.render(&outcome.points));
+                    println!("{}", render_failures(&outcome.failed));
+                }
+                Err(e) => return abort(&e),
+            }
+        }
     }
 
     if total_failed > 0 {

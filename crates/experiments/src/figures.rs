@@ -3,11 +3,12 @@
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::InstrFormat;
 use pipe_mem::{DCacheConfig, MemConfig, PriorityPolicy};
-use pipe_workloads::LivermoreSuite;
 
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 use crate::runner::ExperimentPoint;
-use crate::sweep::{FailedJob, SweepError, SweepOutcome, SweepRunner, SweepSpec, WorkloadSpec};
+use crate::sweep::{
+    FailedJob, SweepError, SweepJob, SweepOutcome, SweepRunner, SweepSpec, WorkloadSpec,
+};
 
 /// One curve of a figure: a strategy swept over cache sizes.
 #[derive(Debug, Clone)]
@@ -36,7 +37,7 @@ pub struct Figure {
 /// The paper's figure panels.
 pub const ALL_FIGURES: [&str; 6] = ["4a", "4b", "5a", "5b", "6a", "6b"];
 
-/// The ablation identifiers supported by [`ablation`].
+/// The ablation identifiers supported by [`try_ablation_with`].
 pub const ALL_ABLATIONS: [&str; 5] = ["access", "priority", "prefetch", "format", "tib"];
 
 fn mem_for(access: u32, bus: u32, pipelined: bool) -> MemConfig {
@@ -83,30 +84,6 @@ pub fn figure_mem(id: &str) -> (MemConfig, &'static str) {
     }
 }
 
-/// Sweeps all five strategies over the cache sizes under `mem`. This is
-/// the serial entry point; it delegates to the [`SweepRunner`] engine
-/// (one worker, no store), so the serial and parallel paths are the same
-/// code.
-pub fn sweep(
-    suite: &LivermoreSuite,
-    mem: &MemConfig,
-    policy: PrefetchPolicy,
-    strategies: &[StrategyKind],
-) -> Vec<Series> {
-    let spec = SweepSpec {
-        id: "sweep".to_string(),
-        strategies: strategies.to_vec(),
-        cache_sizes: sweep_sizes().to_vec(),
-        mem: *mem,
-        policy,
-        workload: WorkloadSpec::Livermore {
-            format: suite.program().format(),
-            scale: 1,
-        },
-    };
-    SweepRunner::new().run(&spec).series
-}
-
 /// A reproduced figure panel plus the run's execution record — how many
 /// points were simulated, loaded from the store, or failed.
 #[derive(Debug, Clone)]
@@ -124,6 +101,20 @@ impl FigureRun {
     pub fn failed(&self) -> &[FailedJob] {
         &self.outcome.failed
     }
+
+    /// Runs `spec` and presents its series as the figure `spec.id`.
+    fn sweep(spec: SweepSpec, title: String, runner: &SweepRunner) -> Result<Self, SweepError> {
+        let outcome = runner.try_run(&spec)?;
+        Ok(FigureRun {
+            figure: Figure {
+                id: spec.id,
+                title,
+                mem: spec.mem,
+                series: outcome.series.clone(),
+            },
+            outcome,
+        })
+    }
 }
 
 /// Reproduces one of the paper's figure panels using `runner` for
@@ -140,17 +131,8 @@ impl FigureRun {
 ///
 /// Panics on an unknown id; valid ids are listed in [`ALL_FIGURES`].
 pub fn try_figure_with(id: &str, runner: &SweepRunner) -> Result<FigureRun, SweepError> {
-    let (mem, title) = figure_mem(id);
-    let outcome = runner.try_run(&SweepSpec::figure(id))?;
-    Ok(FigureRun {
-        figure: Figure {
-            id: format!("fig{id}"),
-            title: format!("Figure {id}: {title}"),
-            mem,
-            series: outcome.series.clone(),
-        },
-        outcome,
-    })
+    let title = format!("Figure {id}: {}", figure_mem(id).1);
+    FigureRun::sweep(SweepSpec::figure(id), title, runner)
 }
 
 /// Reproduces one of the paper's figure panels with its workload replaced
@@ -172,48 +154,16 @@ pub fn try_figure_with_workload(
     runner: &SweepRunner,
     workload: WorkloadSpec,
 ) -> Result<FigureRun, SweepError> {
-    let (mem, title) = figure_mem(id);
-    let mut spec = SweepSpec::figure(id);
-    spec.workload = workload;
-    let wl = spec.workload.key();
-    let outcome = runner.try_run(&spec)?;
-    Ok(FigureRun {
-        figure: Figure {
-            id: format!("fig{id}"),
-            title: format!("Figure {id}: {title} [workload: {wl}]"),
-            mem,
-            series: outcome.series.clone(),
-        },
-        outcome,
-    })
-}
-
-/// Reproduces one of the paper's figure panels using `runner` for
-/// execution (worker count, result store, progress).
-///
-/// # Panics
-///
-/// Panics on an unknown id (valid ids are listed in [`ALL_FIGURES`]), or
-/// when the runner is strict and a job failed — use [`try_figure_with`]
-/// to handle partial outcomes.
-pub fn figure_with(id: &str, runner: &SweepRunner) -> Figure {
-    let (mem, title) = figure_mem(id);
-    let outcome = runner.run(&SweepSpec::figure(id));
-    Figure {
-        id: format!("fig{id}"),
-        title: format!("Figure {id}: {title}"),
-        mem,
-        series: outcome.series,
-    }
-}
-
-/// Reproduces one of the paper's figure panels serially.
-///
-/// # Panics
-///
-/// Panics on an unknown id; valid ids are listed in [`ALL_FIGURES`].
-pub fn figure(id: &str) -> Figure {
-    figure_with(id, &SweepRunner::new())
+    let title = format!(
+        "Figure {id}: {} [workload: {}]",
+        figure_mem(id).1,
+        workload.key()
+    );
+    let spec = SweepSpec {
+        workload,
+        ..SweepSpec::figure(id)
+    };
+    FigureRun::sweep(spec, title, runner)
 }
 
 /// The figure id of the joint I/D cache-size sweep (`--sweep id`) — not
@@ -243,74 +193,54 @@ fn joint_d_settings() -> Vec<(Option<DCacheConfig>, String)> {
 /// multiply (`programs/matmul.s`): each D-cache setting re-sweeps the
 /// I-cache sizes for the conventional cache and PIPE 16-16, under a slow
 /// narrow memory port (6-cycle access, 4-byte bus) where I-fetch and
-/// D-miss traffic visibly contend. Series are labelled
-/// `<strategy> | <d-cache>`.
+/// D-miss traffic visibly contend. All points run as one job list; series
+/// are labelled `<strategy> | <d-cache>`.
 ///
 /// # Errors
 ///
 /// Returns [`SweepError::Strict`] when the runner is strict and a job
-/// failed; the error carries the partial outcome of the failing
-/// sub-sweep.
+/// failed; the error carries the partial outcome.
 pub fn try_joint_id_figure_with(runner: &SweepRunner) -> Result<FigureRun, SweepError> {
     let workload =
         WorkloadSpec::asm("matmul", InstrFormat::Fixed32).expect("bundled program assembles");
-    try_joint_id_figure_with_workload(runner, workload)
-}
-
-/// [`try_joint_id_figure_with`] with the workload replaced (any
-/// [`WorkloadSpec`], e.g. another assembled program or Livermore).
-///
-/// # Errors
-///
-/// Returns [`SweepError::Strict`] when the runner is strict and a job
-/// failed.
-pub fn try_joint_id_figure_with_workload(
-    runner: &SweepRunner,
-    workload: WorkloadSpec,
-) -> Result<FigureRun, SweepError> {
     let base = mem_for(6, 4, false);
-    let strategies = vec![StrategyKind::Conventional, StrategyKind::Pipe16x16];
-    let wl = workload.key();
-    let mut merged: Option<SweepOutcome> = None;
-    let mut series = Vec::new();
-    for (d_cache, label) in joint_d_settings() {
-        let spec = SweepSpec {
-            id: format!("figid[{label}]"),
-            strategies: strategies.clone(),
-            cache_sizes: sweep_sizes().to_vec(),
-            mem: MemConfig { d_cache, ..base },
-            policy: PrefetchPolicy::TruePrefetch,
-            workload: workload.clone(),
-        };
-        let outcome = runner.try_run(&spec)?;
-        for s in &outcome.series {
-            series.push(Series {
-                label: format!("{} | {label}", s.label),
-                kind: s.kind,
-                points: s.points.clone(),
-            });
-        }
-        merged = Some(match merged {
-            None => outcome,
-            Some(mut acc) => {
-                acc.computed += outcome.computed;
-                acc.cached += outcome.cached;
-                acc.failed.extend(outcome.failed);
-                acc.store_degraded |= outcome.store_degraded;
-                acc.events_path = outcome.events_path.or(acc.events_path);
-                acc.wall += outcome.wall;
-                acc
+    // One series per (D-cache setting, strategy): its label and job range.
+    let mut jobs = Vec::new();
+    let mut groups = Vec::new();
+    for (d_cache, d_label) in joint_d_settings() {
+        let mem = MemConfig { d_cache, ..base };
+        for kind in [StrategyKind::Conventional, StrategyKind::Pipe16x16] {
+            let (label, start) = (format!("{} | {d_label}", kind.label()), jobs.len());
+            for &size in sweep_sizes() {
+                if let Some(fetch) = kind.fetch_for(size, PrefetchPolicy::TruePrefetch) {
+                    let job = SweepJob::new(&workload, jobs.len(), kind, &*label, size, fetch, mem);
+                    jobs.push(job);
+                }
             }
-        });
+            groups.push((label, kind, start..jobs.len()));
+        }
     }
-    let mut outcome = merged.expect("at least one D-cache setting");
+    let mut outcome = runner.try_run_jobs(&format!("fig{JOINT_ID_FIGURE}"), &workload, &jobs)?;
+    let series: Vec<Series> = groups
+        .into_iter()
+        .map(|(label, kind, range)| Series {
+            label,
+            kind,
+            points: outcome.points[range]
+                .iter()
+                .flatten()
+                .map(|o| o.point.clone())
+                .collect(),
+        })
+        .collect();
     outcome.series = series.clone();
     Ok(FigureRun {
         figure: Figure {
             id: format!("fig{JOINT_ID_FIGURE}"),
             title: format!(
                 "Joint I/D sweep: I-cache sizes x D-cache sizes, \
-                 6-cycle memory, 4-byte bus [workload: {wl}]"
+                 6-cycle memory, 4-byte bus [workload: {}]",
+                workload.key()
             ),
             mem: base,
             series,
@@ -319,11 +249,12 @@ pub fn try_joint_id_figure_with_workload(
     })
 }
 
-/// Runs one of the ablation studies (see [`ALL_ABLATIONS`]):
+/// The panels of one ablation study (see [`ALL_ABLATIONS`]), each an
+/// ordinary sweep with a unique id, paired with its title:
 ///
 /// * `"access"` — memory access times 2 and 3 (the paper reports these
-///   "showed similar results" to access time 6); returns one panel per
-///   access time at an 8-byte bus.
+///   "showed similar results" to access time 6); one panel per access
+///   time at an 8-byte bus.
 /// * `"priority"` — instruction-first vs data-first arbitration
 ///   (paper §5's selectable priority) at access 6, bus 8.
 /// * `"prefetch"` — true prefetch vs the chip's guaranteed-execution-only
@@ -338,88 +269,109 @@ pub fn try_joint_id_figure_with_workload(
 /// # Panics
 ///
 /// Panics on an unknown id.
-pub fn ablation(id: &str) -> Vec<Figure> {
-    let suite = pipe_workloads::livermore_benchmark();
+pub fn ablation_panels(id: &str) -> Vec<(SweepSpec, String)> {
+    let slow = mem_for(6, 8, false);
+    let panel = |id: String, mem, policy, strategies: &[StrategyKind], format, what: String| {
+        let spec = SweepSpec {
+            id,
+            strategies: strategies.to_vec(),
+            cache_sizes: sweep_sizes().to_vec(),
+            mem,
+            policy,
+            workload: WorkloadSpec::Livermore { format, scale: 1 },
+        };
+        (spec, format!("ablation: {what}"))
+    };
+    let (true_prefetch, fixed) = (PrefetchPolicy::TruePrefetch, InstrFormat::Fixed32);
     match id {
         "access" => [2u32, 3]
-            .iter()
-            .map(|&access| {
-                let mem = mem_for(access, 8, false);
-                Figure {
-                    id: format!("ablation-access{access}"),
-                    title: format!("ablation: {access}-cycle memory, non-pipelined, 8-byte bus"),
-                    series: sweep(&suite, &mem, PrefetchPolicy::TruePrefetch, &ALL_STRATEGIES),
-                    mem,
-                }
+            .map(|access| {
+                panel(
+                    format!("ablation-access{access}"),
+                    mem_for(access, 8, false),
+                    true_prefetch,
+                    &ALL_STRATEGIES,
+                    fixed,
+                    format!("{access}-cycle memory, non-pipelined, 8-byte bus"),
+                )
             })
-            .collect(),
+            .to_vec(),
         "priority" => [PriorityPolicy::InstructionFirst, PriorityPolicy::DataFirst]
-            .iter()
-            .map(|&priority| {
-                let mem = MemConfig {
-                    priority,
-                    ..mem_for(6, 8, false)
-                };
-                Figure {
-                    id: format!("ablation-priority-{priority}"),
-                    title: format!("ablation: {priority} arbitration, 6-cycle memory, 8-byte bus"),
-                    series: sweep(&suite, &mem, PrefetchPolicy::TruePrefetch, &ALL_STRATEGIES),
-                    mem,
-                }
+            .map(|priority| {
+                panel(
+                    format!("ablation-priority-{priority}"),
+                    MemConfig { priority, ..slow },
+                    true_prefetch,
+                    &ALL_STRATEGIES,
+                    fixed,
+                    format!("{priority} arbitration, 6-cycle memory, 8-byte bus"),
+                )
             })
-            .collect(),
-        "prefetch" => [
-            (PrefetchPolicy::TruePrefetch, "true-prefetch"),
-            (PrefetchPolicy::GuaranteedOnly, "guaranteed-only"),
-        ]
-        .iter()
-        .map(|&(policy, name)| {
-            let mem = mem_for(6, 8, false);
+            .to_vec(),
+        "prefetch" => {
             let pipes: Vec<StrategyKind> =
                 ALL_STRATEGIES.into_iter().filter(|s| s.is_pipe()).collect();
-            Figure {
-                id: format!("ablation-prefetch-{name}"),
-                title: format!("ablation: {name} off-chip policy, 6-cycle memory, 8-byte bus"),
-                series: sweep(&suite, &mem, policy, &pipes),
-                mem,
-            }
-        })
-        .collect(),
-        "tib" => {
-            let mem = mem_for(6, 8, false);
-            vec![Figure {
-                id: "ablation-tib".into(),
-                title: "ablation: target instruction buffer vs cache strategies, 6-cycle memory, 8-byte bus".into(),
-                series: sweep(
-                    &suite,
-                    &mem,
-                    PrefetchPolicy::TruePrefetch,
-                    &[
-                        StrategyKind::Conventional,
-                        StrategyKind::Tib16,
-                        StrategyKind::Pipe16x16,
-                    ],
-                ),
-                mem,
-            }]
-        }
-        "format" => [InstrFormat::Fixed32, InstrFormat::Mixed]
-            .iter()
-            .map(|&format| {
-                let fsuite = LivermoreSuite::build(format).expect("suite builds");
-                let mem = mem_for(6, 8, false);
-                Figure {
-                    id: format!("ablation-format-{format}").replace('/', "-"),
-                    title: format!(
-                        "ablation: {format} instruction format, 6-cycle memory, 8-byte bus"
-                    ),
-                    series: sweep(&fsuite, &mem, PrefetchPolicy::TruePrefetch, &ALL_STRATEGIES),
-                    mem,
-                }
+            [
+                (PrefetchPolicy::TruePrefetch, "true-prefetch"),
+                (PrefetchPolicy::GuaranteedOnly, "guaranteed-only"),
+            ]
+            .map(|(policy, name)| {
+                panel(
+                    format!("ablation-prefetch-{name}"),
+                    slow,
+                    policy,
+                    &pipes,
+                    fixed,
+                    format!("{name} off-chip policy, 6-cycle memory, 8-byte bus"),
+                )
             })
-            .collect(),
+            .to_vec()
+        }
+        "tib" => vec![panel(
+            "ablation-tib".into(),
+            slow,
+            true_prefetch,
+            &[
+                StrategyKind::Conventional,
+                StrategyKind::Tib16,
+                StrategyKind::Pipe16x16,
+            ],
+            fixed,
+            "target instruction buffer vs cache strategies, 6-cycle memory, 8-byte bus".into(),
+        )],
+        "format" => [InstrFormat::Fixed32, InstrFormat::Mixed]
+            .map(|format| {
+                panel(
+                    format!("ablation-format-{format}").replace('/', "-"),
+                    slow,
+                    true_prefetch,
+                    &ALL_STRATEGIES,
+                    format,
+                    format!("{format} instruction format, 6-cycle memory, 8-byte bus"),
+                )
+            })
+            .to_vec(),
         other => panic!("unknown ablation id {other:?}"),
     }
+}
+
+/// Runs the panels of one ablation study (see [`ablation_panels`]) using
+/// `runner` for execution, like [`try_figure_with`]: points are keyed in
+/// the runner's store, and failed points are recorded per panel.
+///
+/// # Errors
+///
+/// Returns [`SweepError::Strict`] when the runner is strict and a job
+/// failed; the error carries the failing panel's partial outcome.
+///
+/// # Panics
+///
+/// Panics on an unknown id.
+pub fn try_ablation_with(id: &str, runner: &SweepRunner) -> Result<Vec<FigureRun>, SweepError> {
+    ablation_panels(id)
+        .into_iter()
+        .map(|(spec, title)| FigureRun::sweep(spec, title, runner))
+        .collect()
 }
 
 #[cfg(test)]

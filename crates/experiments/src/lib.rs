@@ -7,10 +7,11 @@
 //! |---|---|
 //! | Table I — inner-loop sizes | [`tables::table1`] |
 //! | Table II — IQ/IQB configurations | [`tables::table2`] |
-//! | Fig. 4a/4b — access 1, bus 4/8 B | [`figures::figure`]`("4a" / "4b")` |
-//! | Fig. 5a/5b — access 6, bus 4/8 B | [`figures::figure`]`("5a" / "5b")` |
-//! | Fig. 6a/6b — access 6, bus 8 B, non-pipelined/pipelined | [`figures::figure`]`("6a" / "6b")` |
-//! | ablations (access 2–3, priority, prefetch policy, format) | [`figures::ablation`] |
+//! | Fig. 4a/4b — access 1, bus 4/8 B | [`figures::try_figure_with`]`("4a" / "4b", runner)` |
+//! | Fig. 5a/5b — access 6, bus 4/8 B | [`figures::try_figure_with`]`("5a" / "5b", runner)` |
+//! | Fig. 6a/6b — access 6, bus 8 B, non-pipelined/pipelined | [`figures::try_figure_with`]`("6a" / "6b", runner)` |
+//! | ablations (access 2–3, priority, prefetch policy, format, TIB) | [`figures::try_ablation_with`] |
+//! | design studies (IQ/IQB sizes, partial lines, ...) | [`studies::Study`] |
 //!
 //! Every figure is a cache-size sweep (16–512 bytes) of the five
 //! strategies of Table II (conventional plus the four PIPE
@@ -38,15 +39,15 @@ pub mod tracerun;
 pub use backoff::BackoffPolicy;
 pub use events::RunLog;
 pub use figures::{
-    ablation, figure, figure_mem, figure_with, try_figure_with, try_figure_with_workload,
-    try_joint_id_figure_with, try_joint_id_figure_with_workload, Figure, FigureRun, Series,
-    ALL_ABLATIONS, ALL_FIGURES, JOINT_ID_FIGURE,
+    ablation_panels, figure_mem, try_ablation_with, try_figure_with, try_figure_with_workload,
+    try_joint_id_figure_with, Figure, FigureRun, Series, ALL_ABLATIONS, ALL_FIGURES,
+    JOINT_ID_FIGURE,
 };
 pub use json::stats_json;
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
 pub use profile::{per_loop_profile, render_profile, render_profile_csv, LoopProfile, LoopShare};
 pub use report::{check_expectations, render_csv, render_failures, render_text};
-pub use runner::{run_point, try_run_point, ExperimentPoint};
+pub use runner::{try_run_point, ExperimentPoint};
 pub use store::{fnv1a64, PruneReport, ResultStore, StoreError, StoredPoint};
 pub use svg::render_figure_svg;
 pub use sweep::{

@@ -69,24 +69,6 @@ pub fn try_run_point_decoded(
     })
 }
 
-/// Runs `program` under (`fetch`, `mem`) and returns the measured point.
-///
-/// # Panics
-///
-/// Panics if the simulation errors — experiment configurations are
-/// validated up front, so an error indicates a simulator bug and should
-/// fail loudly rather than silently skew a result. Fault-tolerant callers
-/// use [`try_run_point`].
-pub fn run_point(
-    program: &Program,
-    fetch: FetchStrategy,
-    mem: &MemConfig,
-    cache_bytes: u32,
-) -> ExperimentPoint {
-    try_run_point(program, fetch, mem, cache_bytes)
-        .unwrap_or_else(|e| panic!("experiment point failed ({fetch}, {cache_bytes}B): {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +79,13 @@ mod tests {
     #[test]
     fn run_point_measures_cycles() {
         let p = tight_loop(4, 20, InstrFormat::Fixed32);
-        let point = run_point(
+        let point = try_run_point(
             &p,
             FetchStrategy::conventional(CacheConfig::new(64, 16)),
             &MemConfig::default(),
             64,
-        );
+        )
+        .unwrap();
         assert!(point.cycles > 0);
         assert_eq!(point.cache_bytes, 64);
         assert_eq!(point.cycles, point.stats.cycles);

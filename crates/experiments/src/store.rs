@@ -3,7 +3,7 @@
 //! Each measured experiment point persists as one small JSON file at
 //! `<root>/store/v1/<hash>.json`, where `<hash>` is the FNV-1a 64-bit
 //! digest of the point's canonical configuration key (see
-//! [`crate::sweep::SweepJob::cache_key`]). The key covers every parameter
+//! [`crate::sweep::SweepJob::key`]). The key covers every parameter
 //! that affects the simulation — workload, memory timing, fetch geometry,
 //! prefetch policy — so two configurations share a file only if they
 //! simulate identically, and resuming a sweep is a per-point file

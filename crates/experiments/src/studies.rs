@@ -1,473 +1,465 @@
 //! Design studies beyond the paper's printed figures.
 //!
-//! * [`queue_size_study`] — sweeps IQ and IQB sizes independently at a
-//!   fixed cache, the paper's simulation parameters 7 and 8.
-//! * [`partial_line_study`] — whole-line fetches (the paper's model)
-//!   versus fetching only the needed tail of a line, a natural
-//!   critical-word-style refinement the paper leaves unexplored.
+//! Each [`Study`] is a list of [`SweepJob`]s on one workload, run through
+//! a [`SweepRunner`] like any figure sweep: its points are content-keyed
+//! in the result store, spread over the runner's workers, and loaded on
+//! resume, and a failing point becomes a
+//! [`FailedJob`](crate::sweep::FailedJob) whose table cell reads `-`.
+
+use std::fmt::Display;
 
 use pipe_core::FetchStrategy;
 use pipe_icache::{BufferConfig, CacheConfig, ConvPrefetch, ConventionalConfig, PipeFetchConfig};
-use pipe_mem::MemConfig;
-use pipe_workloads::LivermoreSuite;
+use pipe_mem::{ExternalCacheConfig, MemConfig};
 
-use crate::runner::run_point;
+use crate::matrix::{StrategyKind, SWEEP_SIZES};
+use crate::sweep::{PointOutcome, SweepError, SweepJob, SweepOutcome, SweepRunner, WorkloadSpec};
 
-/// One cell of the queue-size study.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueueStudyCell {
-    /// IQ size in bytes.
-    pub iq_bytes: u32,
-    /// IQB size in bytes.
-    pub iqb_bytes: u32,
-    /// Total benchmark cycles.
-    pub cycles: u64,
+/// One design study beyond the paper's printed figures; [`ALL_STUDIES`]
+/// lists them in the order `repro --studies` prints them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Study {
+    /// IQ × IQB sizes of 8, 16, and 32 bytes each (paper parameters 7 and
+    /// 8), swept independently at a 64 B PIPE cache with 16 B lines.
+    QueueSize,
+    /// Whole-line fetches (the paper's model) versus fetching only the
+    /// needed tail of a line, a natural critical-word-style refinement the
+    /// paper leaves unexplored; PIPE 16-16 across cache sizes on a 4-byte
+    /// bus.
+    PartialLine,
+    /// Hill's three conventional-cache prefetch strategies across cache
+    /// sizes. The paper adopts always-prefetch because Hill found it
+    /// "consistently provided the best performance"; on PIPE's decoupled,
+    /// data-heavy workload the strategies land within a few percent of
+    /// each other, because a prefetch yields the memory port to data while
+    /// a demand fetch outranks it — see EXPERIMENTS.md for the discussion.
+    HillPrefetch,
+    /// 1–8 prefetch buffers (paper §2.1's Rau & Rossman model: decode
+    /// takes instructions straight from sequential prefetch buffers) on a
+    /// 4-cycle pipelined memory, where outstanding prefetches overlap.
+    /// Reproduces their trade-off: more buffers improve performance, at
+    /// the cost of more memory traffic.
+    Buffers,
+    /// External memory access time (paper simulation parameter 4) at a
+    /// 32 B cache, conventional cache against PIPE 16-16. Shows how the
+    /// PIPE advantage grows as memory gets relatively slower — the paper's
+    /// central technology-scaling argument.
+    AccessTime,
+    /// Relaxes the paper's "external cache large enough for a 100 % hit
+    /// rate" assumption (§5): the infinite external cache, then finite
+    /// sizes with a 20-cycle miss penalty, at the on-chip comparison point
+    /// (PIPE 16-16, 64 B on-chip cache).
+    ExternalCache,
 }
 
-/// Sweeps IQ × IQB sizes (paper parameters 7 and 8) at a fixed cache
-/// geometry and memory configuration.
-pub fn queue_size_study(
-    suite: &LivermoreSuite,
-    cache_bytes: u32,
-    line_bytes: u32,
-    mem: &MemConfig,
-    sizes: &[u32],
-) -> Vec<QueueStudyCell> {
-    let mut cells = Vec::new();
-    for &iq in sizes {
-        for &iqb in sizes {
-            let cfg = PipeFetchConfig {
-                iq_bytes: iq,
-                iqb_bytes: iqb,
-                ..PipeFetchConfig::table2(cache_bytes, line_bytes, iq, iqb)
-            };
-            let point = run_point(suite.program(), FetchStrategy::Pipe(cfg), mem, cache_bytes);
-            cells.push(QueueStudyCell {
-                iq_bytes: iq,
-                iqb_bytes: iqb,
-                cycles: point.cycles,
-            });
+/// Every design study, in `repro --studies` order.
+pub const ALL_STUDIES: [Study; 6] = [
+    Study::QueueSize,
+    Study::PartialLine,
+    Study::HillPrefetch,
+    Study::Buffers,
+    Study::AccessTime,
+    Study::ExternalCache,
+];
+
+const QUEUE_SIZES: [u32; 3] = [8, 16, 32];
+/// Hill's conventional-cache prefetch strategies, in table-column order.
+const HILL_MODES: [ConvPrefetch; 3] = [
+    ConvPrefetch::Always,
+    ConvPrefetch::OnMissOnly,
+    ConvPrefetch::Tagged,
+];
+const BUFFER_COUNTS: [u32; 4] = [1, 2, 4, 8];
+const ACCESS_CACHE_BYTES: u32 = 32;
+const ACCESS_TIMES: [u32; 7] = [1, 2, 3, 4, 5, 6, 8];
+const EXT_MISS_PENALTY: u32 = 20;
+const EXT_CACHE_SIZES: [u32; 4] = [4096, 16384, 65536, 262_144];
+
+impl Study {
+    /// The run id: the progress-line prefix and event-log name.
+    pub fn id(self) -> &'static str {
+        match self {
+            Study::QueueSize => "study-queue",
+            Study::PartialLine => "study-partial-line",
+            Study::HillPrefetch => "study-hill",
+            Study::Buffers => "study-buffers",
+            Study::AccessTime => "study-access",
+            Study::ExternalCache => "study-ext-cache",
         }
     }
-    cells
-}
 
-/// Renders the queue-size study as a matrix (rows: IQ, columns: IQB).
-pub fn render_queue_study(cells: &[QueueStudyCell], sizes: &[u32]) -> String {
-    let mut out =
-        String::from("queue-size study (paper parameters 7 & 8): total kilocycles\nIQ \\ IQB |");
-    for &iqb in sizes {
-        out.push_str(&format!(" {iqb:>7}B"));
-    }
-    out.push('\n');
-    out.push_str(&format!("---------+{}\n", "-".repeat(9 * sizes.len())));
-    for &iq in sizes {
-        out.push_str(&format!("{iq:>8}B |"));
-        for &iqb in sizes {
-            let cell = cells
-                .iter()
-                .find(|c| c.iq_bytes == iq && c.iqb_bytes == iqb)
-                .expect("cell measured");
-            out.push_str(&format!(" {:>7.0}k", cell.cycles as f64 / 1000.0));
+    /// The study's points on `workload`, in the order
+    /// [`render`](Study::render) reads them back.
+    pub fn jobs(self, workload: &WorkloadSpec) -> Vec<SweepJob> {
+        use StrategyKind::{Conventional, Pipe16x16, Tib16};
+        let mut jobs = Vec::new();
+        let mut push = |kind, label: String, cache, fetch, mem| {
+            let index = jobs.len();
+            jobs.push(SweepJob::new(
+                workload, index, kind, label, cache, fetch, mem,
+            ));
+        };
+        let pipe16 = |cache| PipeFetchConfig::table2(cache, 16, 16, 16);
+        // 6-cycle memory, 8-byte bus: the figure-5b timing.
+        let slow = MemConfig {
+            access_cycles: 6,
+            in_bus_bytes: 8,
+            ..MemConfig::default()
+        };
+        match self {
+            Study::QueueSize => {
+                for iq in QUEUE_SIZES {
+                    for iqb in QUEUE_SIZES {
+                        let fetch = FetchStrategy::Pipe(PipeFetchConfig::table2(64, 16, iq, iqb));
+                        push(Pipe16x16, format!("iq{iq}-iqb{iqb}"), 64, fetch, slow);
+                    }
+                }
+            }
+            Study::PartialLine => {
+                let narrow = MemConfig {
+                    in_bus_bytes: 4,
+                    ..slow
+                };
+                for cache in SWEEP_SIZES {
+                    for partial_lines in [false, true] {
+                        let fetch = FetchStrategy::Pipe(PipeFetchConfig {
+                            partial_lines,
+                            ..pipe16(cache)
+                        });
+                        let label = format!("16-16 partial={partial_lines}");
+                        push(Pipe16x16, label, cache, fetch, narrow);
+                    }
+                }
+            }
+            Study::HillPrefetch => {
+                for cache in SWEEP_SIZES {
+                    for prefetch in HILL_MODES {
+                        let fetch = FetchStrategy::Conventional(ConventionalConfig {
+                            cache: CacheConfig::new(cache, 16),
+                            prefetch,
+                        });
+                        push(Conventional, format!("conv {prefetch}"), cache, fetch, slow);
+                    }
+                }
+            }
+            Study::Buffers => {
+                let pipelined = MemConfig {
+                    pipelined: true,
+                    access_cycles: 4,
+                    ..slow
+                };
+                for buffers in BUFFER_COUNTS {
+                    let fetch = FetchStrategy::Buffers(BufferConfig {
+                        buffers,
+                        cache: None,
+                    });
+                    push(
+                        Tib16,
+                        format!("buffers-{buffers}"),
+                        buffers * 4,
+                        fetch,
+                        pipelined,
+                    );
+                }
+            }
+            Study::AccessTime => {
+                let cache = ACCESS_CACHE_BYTES;
+                let conv = FetchStrategy::conventional(CacheConfig::new(cache, 16));
+                let pipe = FetchStrategy::Pipe(pipe16(cache));
+                for access_cycles in ACCESS_TIMES {
+                    let mem = MemConfig {
+                        access_cycles,
+                        in_bus_bytes: 8,
+                        ..MemConfig::default()
+                    };
+                    push(
+                        Conventional,
+                        format!("conv a{access_cycles}"),
+                        cache,
+                        conv,
+                        mem,
+                    );
+                    push(
+                        Pipe16x16,
+                        format!("16-16 a{access_cycles}"),
+                        cache,
+                        pipe,
+                        mem,
+                    );
+                }
+            }
+            Study::ExternalCache => {
+                let fetch = FetchStrategy::Pipe(pipe16(64));
+                push(Pipe16x16, "16-16 ext=inf".into(), 64, fetch, slow);
+                for size_bytes in EXT_CACHE_SIZES {
+                    let external_cache = Some(ExternalCacheConfig {
+                        size_bytes,
+                        line_bytes: 64,
+                        miss_penalty: EXT_MISS_PENALTY,
+                    });
+                    let mem = MemConfig {
+                        external_cache,
+                        ..slow
+                    };
+                    push(
+                        Pipe16x16,
+                        format!("16-16 ext={size_bytes}B"),
+                        64,
+                        fetch,
+                        mem,
+                    );
+                }
+            }
         }
-        out.push('\n');
+        jobs
     }
-    out
-}
 
-/// One row of the partial-line study.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartialLineRow {
-    /// Cache size in bytes.
-    pub cache_bytes: u32,
-    /// Cycles with whole-line fetches (the paper's model).
-    pub whole_line_cycles: u64,
-    /// Cycles fetching only the needed line tail.
-    pub partial_line_cycles: u64,
-    /// Off-chip instruction bytes, whole-line.
-    pub whole_line_bytes: u64,
-    /// Off-chip instruction bytes, partial.
-    pub partial_line_bytes: u64,
-}
+    /// Runs the study's jobs on `workload` through `runner`. The
+    /// outcome's `points` are in job order, ready for
+    /// [`render`](Study::render).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SweepError::Strict`] when the runner is strict and a job
+    /// failed.
+    pub fn run(
+        self,
+        runner: &SweepRunner,
+        workload: &WorkloadSpec,
+    ) -> Result<SweepOutcome, SweepError> {
+        runner.try_run_jobs(self.id(), workload, &self.jobs(workload))
+    }
 
-/// Compares whole-line and partial-line fetch policies for the 16-16 PIPE
-/// configuration across cache sizes.
-pub fn partial_line_study(
-    suite: &LivermoreSuite,
-    mem: &MemConfig,
-    sizes: &[u32],
-) -> Vec<PartialLineRow> {
-    sizes
-        .iter()
-        .map(|&cache| {
-            let whole = run_point(
-                suite.program(),
-                FetchStrategy::Pipe(PipeFetchConfig::table2(cache, 16, 16, 16)),
-                mem,
-                cache,
-            );
-            let partial_cfg = PipeFetchConfig {
-                partial_lines: true,
-                ..PipeFetchConfig::table2(cache, 16, 16, 16)
-            };
-            let partial = run_point(
-                suite.program(),
-                FetchStrategy::Pipe(partial_cfg),
-                mem,
-                cache,
-            );
-            PartialLineRow {
-                cache_bytes: cache,
-                whole_line_cycles: whole.cycles,
-                partial_line_cycles: partial.cycles,
-                whole_line_bytes: whole.stats.fetch.bytes_requested,
-                partial_line_bytes: partial.stats.fetch.bytes_requested,
+    /// Renders the study's table from its points in job order (see
+    /// [`jobs`](Study::jobs)); a missing (failed) point reads `-`.
+    pub fn render(self, points: &[Option<PointOutcome>]) -> String {
+        let at = |i: usize| points.get(i).and_then(Option::as_ref).map(|o| &o.point);
+        let cycles = |i| at(i).map(|p| p.cycles);
+        let bytes = |i| at(i).map(|p| p.stats.fetch.bytes_requested);
+        let mut out = String::new();
+        match self {
+            Study::QueueSize => {
+                let n = QUEUE_SIZES.len();
+                out.push_str(
+                    "queue-size study (paper parameters 7 & 8): total kilocycles\nIQ \\ IQB |",
+                );
+                for iqb in QUEUE_SIZES {
+                    out.push_str(&format!(" {iqb:>7}B"));
+                }
+                out.push_str(&format!("\n---------+{}\n", "-".repeat(9 * n)));
+                for (row, iq) in QUEUE_SIZES.iter().enumerate() {
+                    out.push_str(&format!("{iq:>8}B |"));
+                    for i in row * n..(row + 1) * n {
+                        out.push_str(&format!(" {}", cell(kilo(cycles(i)), 8)));
+                    }
+                    out.push('\n');
+                }
             }
-        })
-        .collect()
-}
-
-/// Renders the partial-line study.
-pub fn render_partial_line_study(rows: &[PartialLineRow]) -> String {
-    let mut out = String::from(
-        "partial-line fetch study (PIPE 16-16): cycles and off-chip instruction bytes\n\
-         cache     whole-line      partial      whole bytes  partial bytes\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>5}B  {:>11}  {:>11}  {:>13}  {:>13}\n",
-            r.cache_bytes,
-            r.whole_line_cycles,
-            r.partial_line_cycles,
-            r.whole_line_bytes,
-            r.partial_line_bytes
-        ));
-    }
-    out
-}
-
-/// One row of the Hill prefetch-strategy study.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HillStudyRow {
-    /// Cache size in bytes.
-    pub cache_bytes: u32,
-    /// Cycles per [`ConvPrefetch`] strategy, in declaration order
-    /// (always, on-miss-only, tagged).
-    pub cycles: [u64; 3],
-}
-
-/// Compares Hill's three conventional-cache prefetch strategies across
-/// cache sizes. The paper adopts always-prefetch because Hill found it
-/// "consistently provided the best performance"; on PIPE's decoupled,
-/// data-heavy workload the strategies land within a few percent of each
-/// other, because a prefetch yields the memory port to data while a
-/// demand fetch outranks it — see EXPERIMENTS.md for the discussion.
-pub fn hill_prefetch_study(
-    suite: &LivermoreSuite,
-    mem: &MemConfig,
-    sizes: &[u32],
-) -> Vec<HillStudyRow> {
-    let modes = [
-        ConvPrefetch::Always,
-        ConvPrefetch::OnMissOnly,
-        ConvPrefetch::Tagged,
-    ];
-    sizes
-        .iter()
-        .map(|&cache| {
-            let mut cycles = [0u64; 3];
-            for (i, &mode) in modes.iter().enumerate() {
-                let fetch = FetchStrategy::Conventional(ConventionalConfig {
-                    cache: CacheConfig::new(cache, 16),
-                    prefetch: mode,
-                });
-                cycles[i] = run_point(suite.program(), fetch, mem, cache).cycles;
+            Study::PartialLine => {
+                out.push_str(
+                    "partial-line fetch study (PIPE 16-16): cycles and off-chip instruction bytes\n\
+                     cache     whole-line      partial      whole bytes  partial bytes\n",
+                );
+                for (row, cache) in SWEEP_SIZES.iter().enumerate() {
+                    let (whole, partial) = (2 * row, 2 * row + 1);
+                    out.push_str(&format!(
+                        "{cache:>5}B  {}  {}  {}  {}\n",
+                        cell(cycles(whole), 11),
+                        cell(cycles(partial), 11),
+                        cell(bytes(whole), 13),
+                        cell(bytes(partial), 13)
+                    ));
+                }
             }
-            HillStudyRow {
-                cache_bytes: cache,
-                cycles,
+            Study::HillPrefetch => {
+                let n = HILL_MODES.len();
+                out.push_str(
+                    "conventional-cache prefetch strategies (Hill): total kilocycles\n\
+                     cache      always    on-miss     tagged\n",
+                );
+                for (row, cache) in SWEEP_SIZES.iter().enumerate() {
+                    out.push_str(&format!("{cache:>5}B"));
+                    for i in row * n..(row + 1) * n {
+                        out.push_str(&format!("  {}", cell(kilo(cycles(i)), 9)));
+                    }
+                    out.push('\n');
+                }
             }
-        })
-        .collect()
-}
-
-/// Renders the Hill prefetch study.
-pub fn render_hill_study(rows: &[HillStudyRow]) -> String {
-    let mut out = String::from(
-        "conventional-cache prefetch strategies (Hill): total kilocycles\n\
-         cache      always    on-miss     tagged\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>5}B  {:>8.0}k  {:>8.0}k  {:>8.0}k\n",
-            r.cache_bytes,
-            r.cycles[0] as f64 / 1000.0,
-            r.cycles[1] as f64 / 1000.0,
-            r.cycles[2] as f64 / 1000.0,
-        ));
-    }
-    out
-}
-
-/// One row of the finite-external-cache study.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtCacheStudyRow {
-    /// External cache size in bytes (`None` = the paper's infinite cache).
-    pub ext_cache_bytes: Option<u32>,
-    /// Total benchmark cycles.
-    pub cycles: u64,
-}
-
-/// Relaxes the paper's "external cache large enough for a 100 % hit rate"
-/// assumption (§5): sweeps finite external-cache sizes with a fixed miss
-/// penalty and measures the impact on the on-chip comparison point
-/// (PIPE 16-16, 64 B on-chip cache).
-pub fn external_cache_study(
-    suite: &LivermoreSuite,
-    base: &MemConfig,
-    miss_penalty: u32,
-    sizes: &[u32],
-) -> Vec<ExtCacheStudyRow> {
-    let fetch = FetchStrategy::Pipe(PipeFetchConfig::table2(64, 16, 16, 16));
-    let mut rows = vec![ExtCacheStudyRow {
-        ext_cache_bytes: None,
-        cycles: run_point(suite.program(), fetch, base, 64).cycles,
-    }];
-    for &size in sizes {
-        let mem = MemConfig {
-            external_cache: Some(pipe_mem::ExternalCacheConfig {
-                size_bytes: size,
-                line_bytes: 64,
-                miss_penalty,
-            }),
-            ..*base
-        };
-        rows.push(ExtCacheStudyRow {
-            ext_cache_bytes: Some(size),
-            cycles: run_point(suite.program(), fetch, &mem, 64).cycles,
-        });
-    }
-    rows
-}
-
-/// Renders the external-cache study.
-pub fn render_ext_cache_study(rows: &[ExtCacheStudyRow], miss_penalty: u32) -> String {
-    let mut out = format!(
-        "finite external cache study (PIPE 16-16, 64B on-chip, +{miss_penalty} cycle misses)\n\
-         external cache        cycles\n"
-    );
-    for r in rows {
-        let label = match r.ext_cache_bytes {
-            None => "infinite (paper)".to_string(),
-            Some(b) if b >= 1024 => format!("{}KB", b / 1024),
-            Some(b) => format!("{b}B"),
-        };
-        out.push_str(&format!("{label:<18}  {:>10}\n", r.cycles));
-    }
-    out
-}
-
-/// One row of the memory-speed sensitivity study.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessStudyRow {
-    /// Memory access time in cycles.
-    pub access_cycles: u32,
-    /// Conventional-cache cycles.
-    pub conventional: u64,
-    /// PIPE 16-16 cycles.
-    pub pipe: u64,
-}
-
-impl AccessStudyRow {
-    /// PIPE's speedup over the conventional cache at this access time.
-    pub fn speedup(&self) -> f64 {
-        self.conventional as f64 / self.pipe as f64
-    }
-}
-
-/// Sweeps the external memory access time (paper simulation parameter 4)
-/// at a fixed cache size, comparing the conventional cache against PIPE
-/// 16-16. Shows how the PIPE advantage grows as memory gets relatively
-/// slower — the paper's central technology-scaling argument.
-pub fn access_sweep_study(
-    suite: &LivermoreSuite,
-    cache_bytes: u32,
-    bus: u32,
-    accesses: &[u32],
-) -> Vec<AccessStudyRow> {
-    accesses
-        .iter()
-        .map(|&access| {
-            let mem = MemConfig {
-                access_cycles: access,
-                in_bus_bytes: bus,
-                ..MemConfig::default()
-            };
-            let conv = run_point(
-                suite.program(),
-                FetchStrategy::conventional(CacheConfig::new(cache_bytes, 16)),
-                &mem,
-                cache_bytes,
-            );
-            let pipe = run_point(
-                suite.program(),
-                FetchStrategy::Pipe(PipeFetchConfig::table2(cache_bytes, 16, 16, 16)),
-                &mem,
-                cache_bytes,
-            );
-            AccessStudyRow {
-                access_cycles: access,
-                conventional: conv.cycles,
-                pipe: pipe.cycles,
+            Study::Buffers => {
+                out.push_str(
+                    "prefetch-buffer study (Rau & Rossman): cycles and off-chip traffic\n\
+                     buffers       cycles    bytes requested\n",
+                );
+                for (i, buffers) in BUFFER_COUNTS.iter().enumerate() {
+                    let (c, b) = (cell(cycles(i), 11), cell(bytes(i), 17));
+                    out.push_str(&format!("{buffers:>7}  {c}  {b}\n"));
+                }
             }
-        })
-        .collect()
-}
-
-/// Renders the access-time sweep.
-pub fn render_access_study(rows: &[AccessStudyRow], cache_bytes: u32) -> String {
-    let mut out = format!(
-        "memory-speed sensitivity ({cache_bytes}B cache, paper parameter 4)\n\
-         access  conventional      PIPE 16-16   speedup\n"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6}  {:>12}  {:>14}  {:>7.2}x\n",
-            r.access_cycles,
-            r.conventional,
-            r.pipe,
-            r.speedup()
-        ));
-    }
-    out
-}
-
-/// One row of the Rau & Rossman prefetch-buffer study.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BufferStudyRow {
-    /// Number of prefetch buffers.
-    pub buffers: u32,
-    /// Total benchmark cycles.
-    pub cycles: u64,
-    /// Off-chip instruction bytes requested.
-    pub bytes_requested: u64,
-}
-
-/// Sweeps the prefetch-buffer count (paper §2.1's Rau & Rossman model:
-/// decode takes instructions straight from sequential prefetch buffers).
-/// Reproduces their trade-off: more buffers improve performance, at the
-/// cost of more memory traffic.
-pub fn buffer_study(
-    suite: &LivermoreSuite,
-    mem: &MemConfig,
-    counts: &[u32],
-    cache: Option<CacheConfig>,
-) -> Vec<BufferStudyRow> {
-    counts
-        .iter()
-        .map(|&buffers| {
-            let fetch = FetchStrategy::Buffers(BufferConfig { buffers, cache });
-            let point = run_point(suite.program(), fetch, mem, buffers * 4);
-            BufferStudyRow {
-                buffers,
-                cycles: point.cycles,
-                bytes_requested: point.stats.fetch.bytes_requested,
+            Study::AccessTime => {
+                out.push_str(&format!(
+                    "memory-speed sensitivity ({ACCESS_CACHE_BYTES}B cache, paper parameter 4)\n\
+                     access  conventional      PIPE 16-16   speedup\n"
+                ));
+                for (row, access) in ACCESS_TIMES.iter().enumerate() {
+                    let (conv, pipe) = (cycles(2 * row), cycles(2 * row + 1));
+                    let ratio = conv
+                        .zip(pipe)
+                        .map(|(c, p)| format!("{:.2}x", speedup(c, p)));
+                    out.push_str(&format!(
+                        "{access:>6}  {}  {}  {}\n",
+                        cell(conv, 12),
+                        cell(pipe, 14),
+                        cell(ratio, 8)
+                    ));
+                }
             }
-        })
-        .collect()
+            Study::ExternalCache => {
+                out.push_str(&format!(
+                    "finite external cache study (PIPE 16-16, 64B on-chip, \
+                     +{EXT_MISS_PENALTY} cycle misses)\nexternal cache        cycles\n"
+                ));
+                let sizes = EXT_CACHE_SIZES.map(|b| format!("{}KB", b / 1024));
+                let labels = std::iter::once("infinite (paper)".to_string()).chain(sizes);
+                for (i, label) in labels.enumerate() {
+                    out.push_str(&format!("{label:<18}  {}\n", cell(cycles(i), 10)));
+                }
+            }
+        }
+        out
+    }
 }
 
-/// Renders the prefetch-buffer study.
-pub fn render_buffer_study(rows: &[BufferStudyRow]) -> String {
-    let mut out = String::from(
-        "prefetch-buffer study (Rau & Rossman): cycles and off-chip traffic\n\
-         buffers       cycles    bytes requested\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>7}  {:>11}  {:>17}\n",
-            r.buffers, r.cycles, r.bytes_requested
-        ));
+/// PIPE's speedup over the conventional cache: the ratio of their cycles.
+fn speedup(conventional: u64, pipe: u64) -> f64 {
+    conventional as f64 / pipe as f64
+}
+
+/// `value` right-aligned in `width` columns, or `-` for a failed point.
+fn cell(value: Option<impl Display>, width: usize) -> String {
+    match value {
+        Some(v) => format!("{v:>width$}"),
+        None => format!("{:>width$}", "-"),
     }
-    out
+}
+
+/// Cycles as whole kilocycles (`644k`).
+fn kilo(cycles: Option<u64>) -> Option<String> {
+    cycles.map(|c| format!("{:.0}k", c as f64 / 1000.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ResultStore;
     use pipe_isa::InstrFormat;
 
-    fn small_suite() -> LivermoreSuite {
-        LivermoreSuite::build_scaled(InstrFormat::Fixed32, 20).unwrap()
+    fn small() -> WorkloadSpec {
+        WorkloadSpec::Livermore {
+            format: InstrFormat::Fixed32,
+            scale: 20,
+        }
+    }
+
+    /// Runs `study` serially with no store; returns each point's cycles
+    /// and fetch bytes in job order, plus the rendered table.
+    fn measure(study: Study) -> (Vec<(u64, u64)>, String) {
+        let outcome = study.run(&SweepRunner::new(), &small()).unwrap();
+        let points = outcome
+            .points
+            .iter()
+            .map(|o| {
+                let p = &o.as_ref().expect("point measured").point;
+                (p.cycles, p.stats.fetch.bytes_requested)
+            })
+            .collect();
+        (points, study.render(&outcome.points))
     }
 
     #[test]
     fn queue_study_covers_grid() {
-        let suite = small_suite();
-        let sizes = [8u32, 16];
-        let cells = queue_size_study(&suite, 64, 16, &MemConfig::default(), &sizes);
-        assert_eq!(cells.len(), 4);
-        assert!(cells.iter().all(|c| c.cycles > 0));
-        let text = render_queue_study(&cells, &sizes);
+        let (points, text) = measure(Study::QueueSize);
+        assert_eq!(points.len(), 9);
+        assert!(points.iter().all(|&(cycles, _)| cycles > 0));
         assert!(text.contains("IQ \\ IQB"));
     }
 
     #[test]
-    fn finite_external_cache_monotone() {
-        let suite = small_suite();
-        let base = MemConfig {
-            access_cycles: 3,
-            in_bus_bytes: 8,
-            ..MemConfig::default()
+    fn queue_study_cells_identical_without_store_cold_and_resumed() {
+        let dir = std::env::temp_dir().join(format!("pipe-study-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stored = |resume| {
+            let runner = SweepRunner::new()
+                .jobs(2)
+                .store(ResultStore::open(&dir).unwrap())
+                .resume(resume);
+            Study::QueueSize.run(&runner, &small()).unwrap()
         };
-        let rows = external_cache_study(&suite, &base, 10, &[4096, 65536]);
-        assert_eq!(rows.len(), 3);
-        let infinite = rows[0].cycles;
-        let small = rows[1].cycles;
-        let big = rows[2].cycles;
-        assert!(small >= big, "bigger external cache can't be slower");
-        assert!(big >= infinite, "finite can't beat the paper's assumption");
-        assert!(small > infinite, "a small external cache must cost cycles");
-        assert!(render_ext_cache_study(&rows, 10).contains("infinite"));
+        let plain = Study::QueueSize.run(&SweepRunner::new(), &small()).unwrap();
+        let cold = stored(false);
+        let warm = stored(true);
+        assert_eq!((cold.computed, cold.cached), (9, 0));
+        assert_eq!((warm.computed, warm.cached), (0, 9));
+        let cells = |o: &SweepOutcome| -> Vec<u64> {
+            o.points.iter().flatten().map(|p| p.point.cycles).collect()
+        };
+        assert_eq!(cells(&plain).len(), 9);
+        assert_eq!(cells(&plain), cells(&cold));
+        assert_eq!(cells(&plain), cells(&warm));
+        let text = Study::QueueSize.render(&plain.points);
+        assert_eq!(text, Study::QueueSize.render(&cold.points));
+        assert_eq!(text, Study::QueueSize.render(&warm.points));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn finite_external_cache_monotone() {
+        let (points, text) = measure(Study::ExternalCache);
+        let cycles: Vec<u64> = points.iter().map(|p| p.0).collect();
+        let (infinite, finite) = (cycles[0], &cycles[1..]);
+        assert_eq!(finite.len(), 4);
+        assert!(
+            finite.windows(2).all(|w| w[0] >= w[1]),
+            "bigger external cache can't be slower: {cycles:?}"
+        );
+        assert!(
+            finite.iter().all(|&c| c >= infinite),
+            "finite can't beat the paper's assumption"
+        );
+        assert!(
+            finite[0] > infinite,
+            "a small external cache must cost cycles"
+        );
+        assert!(text.contains("infinite"));
     }
 
     #[test]
     fn pipe_advantage_grows_with_memory_latency() {
-        let suite = small_suite();
-        let rows = access_sweep_study(&suite, 32, 8, &[1, 3, 6]);
-        assert_eq!(rows.len(), 3);
+        let (points, text) = measure(Study::AccessTime);
+        assert_eq!(points.len(), 2 * ACCESS_TIMES.len());
+        // Rows are access 1, 2, 3, 4, 5, 6, 8: (conventional, PIPE) each.
+        let at1 = speedup(points[0].0, points[1].0);
+        let at6 = speedup(points[10].0, points[11].0);
         assert!(
-            rows[2].speedup() > rows[0].speedup(),
-            "speedup at access 6 ({:.2}) !> at access 1 ({:.2})",
-            rows[2].speedup(),
-            rows[0].speedup()
+            at6 > at1,
+            "speedup at access 6 ({at6:.2}) !> at access 1 ({at1:.2})"
         );
-        assert!(render_access_study(&rows, 32).contains("speedup"));
+        assert!(text.contains("speedup"));
     }
 
     #[test]
     fn more_buffers_better_performance_more_traffic() {
         // Rau & Rossman's trade-off, on a pipelined memory where multiple
         // outstanding prefetches actually overlap.
-        let suite = small_suite();
-        let mem = MemConfig {
-            access_cycles: 4,
-            in_bus_bytes: 4,
-            pipelined: true,
-            ..MemConfig::default()
+        let (points, text) = measure(Study::Buffers);
+        let [(one, one_bytes), .., (eight, eight_bytes)] = points[..] else {
+            panic!("buffer counts 1..8 measured");
         };
-        let rows = buffer_study(&suite, &mem, &[1, 8], None);
+        assert!(eight < one, "8 buffers {eight} !< 1 buffer {one}");
         assert!(
-            rows[1].cycles < rows[0].cycles,
-            "8 buffers {} !< 1 buffer {}",
-            rows[1].cycles,
-            rows[0].cycles
-        );
-        assert!(
-            rows[1].bytes_requested >= rows[0].bytes_requested,
+            eight_bytes >= one_bytes,
             "traffic must not shrink with more buffers"
         );
-        assert!(render_buffer_study(&rows).contains("buffers"));
+        assert!(text.contains("buffers"));
     }
 
     #[test]
@@ -478,39 +470,28 @@ mod tests {
         // other (a prefetch yields the bus to data, while a demand fetch
         // outranks it under instruction-first arbitration — so launching
         // earlier at lower priority roughly cancels out). We check the
-        // bounded spread rather than a strict ordering.
-        let suite = small_suite();
-        let mem = MemConfig {
-            access_cycles: 6,
-            in_bus_bytes: 8,
-            ..MemConfig::default()
-        };
-        let rows = hill_prefetch_study(&suite, &mem, &[64]);
-        let [always, on_miss, tagged] = rows[0].cycles;
+        // bounded spread rather than a strict ordering, at 64 B.
+        let (points, text) = measure(Study::HillPrefetch);
+        let [always, on_miss, tagged] = [points[6].0, points[7].0, points[8].0];
         let max = always.max(on_miss).max(tagged) as f64;
         let min = always.min(on_miss).min(tagged) as f64;
         assert!(
             max / min < 1.10,
             "spread too wide: {always} {on_miss} {tagged}"
         );
-        assert!(render_hill_study(&rows).contains("64B"));
+        assert!(text.contains("64B"));
     }
 
     #[test]
     fn partial_lines_reduce_traffic() {
-        let suite = small_suite();
-        let mem = MemConfig {
-            access_cycles: 6,
-            in_bus_bytes: 4,
-            ..MemConfig::default()
-        };
-        let rows = partial_line_study(&suite, &mem, &[32]);
-        assert_eq!(rows.len(), 1);
-        assert!(
-            rows[0].partial_line_bytes <= rows[0].whole_line_bytes,
-            "partial fetches cannot request more bytes"
-        );
-        let text = render_partial_line_study(&rows);
+        let (points, text) = measure(Study::PartialLine);
+        assert_eq!(points.len(), 2 * SWEEP_SIZES.len());
+        for pair in points.chunks(2) {
+            assert!(
+                pair[1].1 <= pair[0].1,
+                "partial fetches cannot request more bytes"
+            );
+        }
         assert!(text.contains("32B"));
     }
 }

@@ -291,19 +291,20 @@ impl SweepSpec {
     /// size ascending). Points whose geometry is invalid for a strategy
     /// (cache smaller than the line) are skipped, matching the figures.
     pub fn expand(&self) -> Vec<SweepJob> {
-        let wl = self.workload.key();
-        let mem = mem_key(&self.mem);
         let mut jobs = Vec::new();
         for &kind in &self.strategies {
             for &size in &self.cache_sizes {
                 if let Some(fetch) = kind.fetch_for(size, self.policy) {
-                    jobs.push(SweepJob {
-                        index: jobs.len(),
+                    let job = SweepJob::new(
+                        &self.workload,
+                        jobs.len(),
                         kind,
-                        cache_bytes: size,
-                        key: format!("v1|wl={wl}|mem={mem}|fetch={}", fetch.cache_key()),
+                        kind.label(),
+                        size,
                         fetch,
-                    });
+                        self.mem,
+                    );
+                    jobs.push(job);
                 }
             }
         }
@@ -311,21 +312,58 @@ impl SweepSpec {
     }
 }
 
-/// One executable point of an expanded sweep.
+/// One executable point: a fully resolved fetch and memory configuration
+/// of one workload. [`SweepSpec::expand`] produces a figure's jobs; each
+/// design study builds its own list (see [`crate::studies`]).
 #[derive(Debug, Clone)]
 pub struct SweepJob {
-    /// Position in the expansion (and in the result slots).
+    /// Position in the job list (and in the result slots).
     pub index: usize,
-    /// The strategy this point belongs to.
+    /// The Table II strategy this point belongs to. A design-study point
+    /// names the strategy whose configuration it varies (the cache-less
+    /// prefetch-buffer study uses [`StrategyKind::Tib16`]).
     pub kind: StrategyKind,
+    /// Name shown in progress lines, events, failure reports, and stored
+    /// entries (for a figure point, its series label).
+    pub label: String,
     /// Cache size in bytes.
     pub cache_bytes: u32,
     /// The fully resolved fetch configuration.
     pub fetch: FetchStrategy,
+    /// External memory parameters.
+    pub mem: MemConfig,
     key: String,
 }
 
 impl SweepJob {
+    /// A job at position `index` of a list run on `workload`; its store
+    /// key is derived from the workload, `mem`, and `fetch`.
+    pub(crate) fn new(
+        workload: &WorkloadSpec,
+        index: usize,
+        kind: StrategyKind,
+        label: impl Into<String>,
+        cache_bytes: u32,
+        fetch: FetchStrategy,
+        mem: MemConfig,
+    ) -> SweepJob {
+        let key = format!(
+            "v1|wl={}|mem={}|fetch={}",
+            workload.key(),
+            mem_key(&mem),
+            fetch.cache_key()
+        );
+        SweepJob {
+            index,
+            kind,
+            label: label.into(),
+            cache_bytes,
+            fetch,
+            mem,
+            key,
+        }
+    }
+
     /// The canonical configuration key this point is stored under: it
     /// covers workload, memory timing, and the complete fetch geometry,
     /// so equal keys simulate identically.
@@ -371,10 +409,10 @@ impl Error for JobError {}
 /// or report it.
 #[derive(Debug, Clone)]
 pub struct FailedJob {
-    /// Position in the expansion.
+    /// Position in the job list.
     pub index: usize,
-    /// The strategy the point belonged to.
-    pub kind: StrategyKind,
+    /// The job's label (for a figure point, its series label).
+    pub label: String,
     /// Cache size in bytes.
     pub cache_bytes: u32,
     /// The canonical configuration key of the point.
@@ -388,10 +426,7 @@ impl fmt::Display for FailedJob {
         write!(
             f,
             "{} @ {}B (job {}): {}",
-            self.kind.label(),
-            self.cache_bytes,
-            self.index,
-            self.error
+            self.label, self.cache_bytes, self.index, self.error
         )
     }
 }
@@ -439,14 +474,17 @@ impl Error for SweepError {}
 /// rather than zero).
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
-    /// One series per strategy, in spec order — the same shape the serial
-    /// figure path produces, minus any failed points.
+    /// One series per strategy, in spec order, minus any failed points
+    /// (empty for a design study, which reads `points`).
     pub series: Vec<Series>,
     /// Points actually simulated (successfully) this run.
     pub computed: usize,
     /// Points satisfied from the result store.
     pub cached: usize,
-    /// Jobs that failed, in expansion order.
+    /// Every job's point, in job order; `None` for a job that failed (or,
+    /// after a strict abort, never started).
+    pub points: Vec<Option<PointOutcome>>,
+    /// Jobs that failed, in job order.
     pub failed: Vec<FailedJob>,
     /// Whether store writes failed persistently and the run degraded to
     /// store-less execution.
@@ -482,9 +520,12 @@ impl FaultInjection {
     }
 }
 
-/// Shared per-run state handed to every worker: the (optional) event
-/// log and the store-health flag that flips when writes are exhausted.
+/// Shared per-run state handed to every worker: the run's id and size,
+/// the (optional) event log, and the store-health flag that flips when
+/// writes are exhausted.
 struct RunState<'a> {
+    id: &'a str,
+    total: usize,
     log: Option<&'a RunLog>,
     store_ok: &'a AtomicBool,
 }
@@ -588,7 +629,8 @@ impl SweepRunner {
         }
     }
 
-    /// Runs the sweep.
+    /// Runs the sweep: expands the spec, runs its jobs, and collects the
+    /// points into one series per strategy.
     ///
     /// In the default fault-tolerant mode this always returns `Ok`: a
     /// panicking or erroring job becomes a [`FailedJob`] in the outcome,
@@ -603,32 +645,83 @@ impl SweepRunner {
     ///
     /// Returns [`SweepError::Strict`] as described above.
     pub fn try_run(&self, spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
-        let started = Instant::now();
         let jobs = spec.expand();
-        let total = jobs.len();
-        // Decode the workload once; every job (serial or threaded) shares
-        // the same predecoded image instead of re-decoding per point.
-        let program = Arc::new(DecodedProgram::new(spec.workload.build()));
+        let mut outcome = self.execute_all(&spec.id, &spec.workload, &jobs);
+        // Strategy-major, size ascending — identical to the serial path.
+        // Failed (or, under a strict abort, never-started) jobs simply have
+        // no point; renderers mark them as missing.
+        outcome.series = spec
+            .strategies
+            .iter()
+            .map(|&kind| Series {
+                label: kind.label().to_string(),
+                kind,
+                points: jobs
+                    .iter()
+                    .zip(&outcome.points)
+                    .filter(|(j, _)| j.kind == kind)
+                    .filter_map(|(_, o)| o.as_ref().map(|o| o.point.clone()))
+                    .collect(),
+            })
+            .collect();
+        self.checked(outcome)
+    }
 
-        let log = self.open_log(spec);
+    /// Runs a list of jobs on `workload` like [`try_run`](SweepRunner::try_run)
+    /// runs a spec's, under the run id `id` (progress prefix and event-log
+    /// name), leaving `series` empty. `jobs[i].index` must be `i`, and the
+    /// jobs must have been built for `workload` (their keys name it).
+    pub(crate) fn try_run_jobs(
+        &self,
+        id: &str,
+        workload: &WorkloadSpec,
+        jobs: &[SweepJob],
+    ) -> Result<SweepOutcome, SweepError> {
+        self.checked(self.execute_all(id, workload, jobs))
+    }
+
+    fn checked(&self, outcome: SweepOutcome) -> Result<SweepOutcome, SweepError> {
+        if self.strict && !outcome.is_complete() {
+            return Err(SweepError::Strict(Box::new(outcome)));
+        }
+        Ok(outcome)
+    }
+
+    /// Loads what the store holds, then simulates the rest across the
+    /// workers. Never fails; the outcome records failed jobs.
+    fn execute_all(&self, id: &str, workload: &WorkloadSpec, jobs: &[SweepJob]) -> SweepOutcome {
+        let started = Instant::now();
+        let total = jobs.len();
+        debug_assert!(jobs.iter().enumerate().all(|(i, j)| j.index == i));
+
+        let log = self.open_log(id);
         if let Some(log) = &log {
             log.run_start(total, self.jobs, self.strict);
         }
+        // Set once store writes are exhausted; the rest of the run is
+        // store-less.
+        let store_ok = AtomicBool::new(true);
+        let run = RunState {
+            id,
+            total,
+            log: log.as_ref(),
+            store_ok: &store_ok,
+        };
 
         // Index-addressed result slots: the write order never affects the
-        // collected series.
+        // collected points.
         let mut slots: Vec<Option<PointOutcome>> = (0..total).map(|_| None).collect();
         let mut failed: Vec<FailedJob> = Vec::new();
 
         // Satisfy what we can from the store first (cheap file reads).
         let mut pending: Vec<&SweepJob> = Vec::new();
-        for job in &jobs {
-            match self.load_cached(spec, job, log.as_ref()) {
+        for job in jobs {
+            match self.load_cached(&run, job) {
                 Some(entry) => {
                     let cycles = entry.stats.cycles;
-                    self.report(spec, job, cycles, Duration::ZERO, true, total);
+                    self.report(&run, job, cycles, Duration::ZERO, true);
                     if let Some(log) = &log {
-                        log.job_cached(job.index, job.kind.label(), job.cache_bytes, cycles);
+                        log.job_cached(job.index, &job.label, job.cache_bytes, cycles);
                     }
                     slots[job.index] = Some(PointOutcome {
                         point: entry.to_point(),
@@ -641,139 +734,110 @@ impl SweepRunner {
         }
         let cached = total - pending.len();
 
-        // Set once store writes are exhausted; the rest of the run is
-        // store-less.
-        let store_ok = AtomicBool::new(true);
-        // Set on the first failure under strict: workers stop picking up
-        // new jobs but finish (and persist) the ones in flight.
-        let cancel = AtomicBool::new(false);
-        let run = RunState {
-            log: log.as_ref(),
-            store_ok: &store_ok,
-        };
-
-        let workers = self.jobs.min(pending.len().max(1));
-        if workers <= 1 {
-            for job in &pending {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
+        if !pending.is_empty() {
+            // Decode the workload once; every job (serial or threaded)
+            // shares the same predecoded image instead of re-decoding per
+            // point.
+            let program = Arc::new(DecodedProgram::new(workload.build()));
+            let exec =
+                |job: &SweepJob, worker: usize| self.execute(&run, job, workload, &program, worker);
+            self.dispatch(&pending, exec, |index, result| match result {
+                Ok(outcome) => {
+                    slots[index] = Some(outcome);
+                    false
                 }
-                match self.execute(spec, job, &program, total, 0, &run) {
-                    Ok(outcome) => slots[job.index] = Some(outcome),
-                    Err(error) => {
-                        failed.push(failed_job(job, error));
-                        if self.strict {
-                            cancel.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        } else {
-            // Per-job results flow back over an mpsc channel, so a worker
-            // that dies mid-job can never poison shared state: its result
-            // is simply the error it sent (or nothing, which leaves the
-            // slot empty).
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, Result<PointOutcome, JobError>)>();
-            let pending = &pending;
-            let program = &program;
-            let (cancel_ref, run_ref) = (&cancel, &run);
-            std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    scope.spawn(move || loop {
-                        if cancel_ref.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = pending.get(i) else { break };
-                        let result = self.execute(spec, job, program, total, worker, run_ref);
-                        if tx.send((job.index, result)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (index, result) in rx {
-                    match result {
-                        Ok(outcome) => slots[index] = Some(outcome),
-                        Err(error) => {
-                            failed.push(failed_job(&jobs[index], error));
-                            if self.strict {
-                                cancel.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
+                Err(error) => {
+                    failed.push(failed_job(&jobs[index], error));
+                    self.strict
                 }
             });
         }
         failed.sort_by_key(|f| f.index);
 
-        // Collect into series in expansion order: strategy-major, size
-        // ascending — identical to the serial path. Failed (or, under a
-        // strict abort, never-started) jobs simply have no point;
-        // renderers mark them as missing.
-        let series = spec
-            .strategies
-            .iter()
-            .map(|&kind| Series {
-                label: kind.label().to_string(),
-                kind,
-                points: jobs
-                    .iter()
-                    .filter(|j| j.kind == kind)
-                    .filter_map(|j| slots[j.index].as_ref().map(|o| o.point.clone()))
-                    .collect(),
-            })
-            .collect();
-
         let computed = slots.iter().flatten().filter(|o| !o.cached).count();
         let wall = started.elapsed();
         if self.progress {
             eprintln!(
-                "[{}] sweep done: {} computed, {} cached, {} failed in {:.2}s",
-                spec.id,
+                "[{id}] sweep done: {} computed, {} cached, {} failed in {:.2}s",
                 computed,
                 cached,
                 failed.len(),
                 wall.as_secs_f64(),
             );
         }
-        let outcome = SweepOutcome {
-            series,
+        if let Some(log) = &log {
+            log.run_finish(computed, cached, failed.len(), wall.as_millis());
+        }
+        SweepOutcome {
+            series: Vec::new(),
+            points: slots,
             computed,
             cached,
             store_degraded: !store_ok.load(Ordering::Relaxed),
             events_path: log.as_ref().map(|l| l.path().to_path_buf()),
             failed,
             wall,
-        };
-        if let Some(log) = &log {
-            log.run_finish(
-                outcome.computed,
-                outcome.cached,
-                outcome.failed.len(),
-                outcome.wall.as_millis(),
-            );
         }
-        if self.strict && !outcome.is_complete() {
-            return Err(SweepError::Strict(Box::new(outcome)));
+    }
+
+    /// Runs `exec` on every pending job across the workers and hands each
+    /// result to `collect` on the calling thread. `collect` returns `true`
+    /// to cancel: workers stop picking up new jobs but finish (and
+    /// persist) the ones in flight.
+    fn dispatch<E, C>(&self, pending: &[&SweepJob], exec: E, mut collect: C)
+    where
+        E: Fn(&SweepJob, usize) -> Result<PointOutcome, JobError> + Sync,
+        C: FnMut(usize, Result<PointOutcome, JobError>) -> bool,
+    {
+        let workers = self.jobs.min(pending.len());
+        if workers <= 1 {
+            for job in pending {
+                if collect(job.index, exec(job, 0)) {
+                    break;
+                }
+            }
+            return;
         }
-        Ok(outcome)
+        // Per-job results flow back over an mpsc channel, so a worker that
+        // dies mid-job can never poison shared state: its result is simply
+        // the error it sent (or nothing, which leaves the slot empty).
+        let cancel = AtomicBool::new(false);
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<(usize, Result<PointOutcome, JobError>)>();
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let tx = tx.clone();
+                let (cancel, next, exec) = (&cancel, &next, &exec);
+                scope.spawn(move || loop {
+                    if cancel.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = pending.get(i) else { break };
+                    if tx.send((job.index, exec(job, worker))).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            for (index, result) in rx {
+                if collect(index, result) {
+                    cancel.store(true, Ordering::Relaxed);
+                }
+            }
+        });
     }
 
     /// Opens the per-run event log, if an events root is configured.
     /// Best-effort: a failure to open warns and disables logging.
-    fn open_log(&self, spec: &SweepSpec) -> Option<RunLog> {
+    fn open_log(&self, id: &str) -> Option<RunLog> {
         let root = self.events_root.as_ref()?;
-        match RunLog::create(root, &spec.id) {
+        match RunLog::create(root, id) {
             Ok(log) => Some(log),
             Err(e) => {
                 eprintln!(
-                    "[{}] warning: cannot create event log under {}: {e}; \
+                    "[{id}] warning: cannot create event log under {}: {e}; \
                      continuing without events",
-                    spec.id,
                     root.display()
                 );
                 None
@@ -783,12 +847,7 @@ impl SweepRunner {
 
     /// Resume lookup for one job. An untrusted entry (key mismatch) warns
     /// and reads as absent so the point is recomputed.
-    fn load_cached(
-        &self,
-        spec: &SweepSpec,
-        job: &SweepJob,
-        log: Option<&RunLog>,
-    ) -> Option<StoredPoint> {
+    fn load_cached(&self, run: &RunState<'_>, job: &SweepJob) -> Option<StoredPoint> {
         if !self.resume {
             return None;
         }
@@ -797,11 +856,9 @@ impl SweepRunner {
             Err(e) => {
                 eprintln!(
                     "[{}] warning: {e}; recomputing {} @ {}B",
-                    spec.id,
-                    job.kind.label(),
-                    job.cache_bytes
+                    run.id, job.label, job.cache_bytes
                 );
-                if let Some(log) = log {
+                if let Some(log) = run.log {
                     log.store_mismatch(job.index, &e.to_string());
                 }
                 None
@@ -814,16 +871,15 @@ impl SweepRunner {
     /// or simulation error becomes `Err(JobError)` — the job fails alone.
     fn execute(
         &self,
-        spec: &SweepSpec,
-        job: &SweepJob,
-        program: &Arc<DecodedProgram>,
-        total: usize,
-        worker: usize,
         run: &RunState<'_>,
+        job: &SweepJob,
+        workload: &WorkloadSpec,
+        program: &Arc<DecodedProgram>,
+        worker: usize,
     ) -> Result<PointOutcome, JobError> {
         let log = run.log;
         if let Some(log) = log {
-            log.job_start(job.index, job.kind.label(), job.cache_bytes, worker);
+            log.job_start(job.index, &job.label, job.cache_bytes, worker);
         }
         let inject_panic = self.inject.panic_jobs.contains(&job.index);
         let t0 = Instant::now();
@@ -831,27 +887,27 @@ impl SweepRunner {
             if inject_panic {
                 panic!("injected panic (job {})", job.index);
             }
-            match &spec.workload {
+            match workload {
                 WorkloadSpec::Trace { path, .. } => crate::tracerun::replay_point(
                     Path::new(path),
                     program.program(),
                     job.fetch,
-                    &spec.mem,
+                    &job.mem,
                     job.cache_bytes,
                 ),
-                _ => try_run_point_decoded(program, job.fetch, &spec.mem, job.cache_bytes)
+                _ => try_run_point_decoded(program, job.fetch, &job.mem, job.cache_bytes)
                     .map_err(|e| e.to_string()),
             }
         }));
         let wall = t0.elapsed();
         let error = match result {
             Ok(Ok(point)) => {
-                self.persist(spec, job, &point, wall, run);
-                self.report(spec, job, point.cycles, wall, false, total);
+                self.persist(run, job, &point, wall);
+                self.report(run, job, point.cycles, wall, false);
                 if let Some(log) = log {
                     log.job_finish(
                         job.index,
-                        job.kind.label(),
+                        &job.label,
                         job.cache_bytes,
                         worker,
                         point.cycles,
@@ -869,16 +925,16 @@ impl SweepRunner {
         };
         eprintln!(
             "[{} {}/{}] FAILED {} @ {}B: {error}",
-            spec.id,
+            run.id,
             job.index + 1,
-            total,
-            job.kind.label(),
+            run.total,
+            job.label,
             job.cache_bytes,
         );
         if let Some(log) = log {
             log.job_failed(
                 job.index,
-                job.kind.label(),
+                &job.label,
                 job.cache_bytes,
                 worker,
                 &error.to_string(),
@@ -891,21 +947,13 @@ impl SweepRunner {
     /// `io::Error`s back off and retry; after the attempts are exhausted
     /// the run degrades to store-less execution (a warning, never an
     /// abort).
-    fn persist(
-        &self,
-        spec: &SweepSpec,
-        job: &SweepJob,
-        point: &ExperimentPoint,
-        wall: Duration,
-        run: &RunState<'_>,
-    ) {
+    fn persist(&self, run: &RunState<'_>, job: &SweepJob, point: &ExperimentPoint, wall: Duration) {
         let (log, store_ok) = (run.log, run.store_ok);
         let Some(store) = &self.store else { return };
         if !store_ok.load(Ordering::Relaxed) {
             return;
         }
-        let entry =
-            StoredPoint::from_point(job.key(), job.kind.label(), point, wall.as_millis() as u64);
+        let entry = StoredPoint::from_point(job.key(), &job.label, point, wall.as_millis() as u64);
         let inject_fail = self.inject.store_fail_jobs.contains(&job.index);
         let policy = BackoffPolicy::store_default();
         let result = policy.run(
@@ -927,7 +975,7 @@ impl SweepRunner {
             eprintln!(
                 "[{}] warning: store write failed {} times ({e}); \
                  continuing without the result store",
-                spec.id,
+                run.id,
                 policy.attempts()
             );
             if let Some(log) = log {
@@ -939,12 +987,11 @@ impl SweepRunner {
 
     fn report(
         &self,
-        spec: &SweepSpec,
+        run: &RunState<'_>,
         job: &SweepJob,
         cycles: u64,
         wall: Duration,
         cached: bool,
-        total: usize,
     ) {
         if !self.progress {
             return;
@@ -956,10 +1003,10 @@ impl SweepRunner {
         };
         eprintln!(
             "[{} {}/{}] {} @ {}B: {} cycles{}",
-            spec.id,
+            run.id,
             job.index + 1,
-            total,
-            job.kind.label(),
+            run.total,
+            job.label,
             job.cache_bytes,
             cycles,
             source,
@@ -970,7 +1017,7 @@ impl SweepRunner {
 fn failed_job(job: &SweepJob, error: JobError) -> FailedJob {
     FailedJob {
         index: job.index,
-        kind: job.kind,
+        label: job.label.clone(),
         cache_bytes: job.cache_bytes,
         key: job.key().to_string(),
         error,

@@ -1,12 +1,13 @@
-//! End-to-end fault tolerance: the ISSUE's acceptance scenario. A sweep
-//! with one injected worker panic and one injected store-write failure
-//! completes every other job, reports the failed point in both the
-//! outcome and the JSONL event log, and keeps every successful cycle
-//! count bit-identical to a serial, fault-free run.
+//! End-to-end fault tolerance. A sweep with one injected worker panic and
+//! one injected store-write failure completes every other job, reports
+//! the failed point in both the outcome and the JSONL event log, and
+//! keeps every successful cycle count bit-identical to a serial,
+//! fault-free run. Ablation panels and design studies fail the same way.
 
+use pipe_experiments::studies::Study;
 use pipe_experiments::{
-    FaultInjection, JobError, ResultStore, StrategyKind, SweepError, SweepRunner, SweepSpec,
-    WorkloadSpec,
+    ablation_panels, render_failures, render_text, try_ablation_with, FaultInjection, JobError,
+    ResultStore, StrategyKind, SweepError, SweepRunner, SweepSpec, WorkloadSpec,
 };
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::InstrFormat;
@@ -107,4 +108,70 @@ fn strict_mode_aborts_with_typed_error() {
     let SweepError::Strict(partial) = &err;
     assert_eq!(partial.failed.len(), 1);
     assert!(!partial.is_complete());
+}
+
+fn panics(jobs: Vec<usize>) -> FaultInjection {
+    FaultInjection {
+        panic_jobs: jobs,
+        ..FaultInjection::default()
+    }
+}
+
+#[test]
+fn failing_ablation_points_are_reported_like_sweep_failures() {
+    // Every job of the TIB panel panics before it simulates, so the test
+    // covers the failure path without running the full benchmark.
+    let jobs = ablation_panels("tib")[0].0.expand().len();
+    let all: Vec<usize> = (0..jobs).collect();
+    let runs = try_ablation_with("tib", &SweepRunner::new().inject(panics(all))).unwrap();
+    assert_eq!(runs.len(), 1);
+    let failed = runs[0].failed();
+    assert_eq!(failed.len(), jobs);
+    assert!(failed.iter().all(|f| matches!(f.error, JobError::Panic(_))));
+
+    let missing = format!(" {:>12}", "-").repeat(3);
+    assert!(render_text(&runs[0].figure).contains(&format!("      16B |{missing}\n")));
+    let report = render_failures(failed);
+    assert!(report.contains(&format!("{jobs} point(s) failed")));
+    assert!(report.contains("[failed] conventional @ 16B (job 0): worker panicked"));
+
+    let err = try_ablation_with(
+        "tib",
+        &SweepRunner::new().strict(true).inject(panics(vec![0])),
+    )
+    .unwrap_err();
+    assert_eq!(err.partial().failed.len(), 1);
+    assert_eq!(err.partial().computed, 0, "fail-fast: nothing after job 0");
+}
+
+#[test]
+fn failing_study_points_are_reported_like_sweep_failures() {
+    let workload = WorkloadSpec::Livermore {
+        format: InstrFormat::Fixed32,
+        scale: 20,
+    };
+    let study = Study::QueueSize;
+    let runner = SweepRunner::new().jobs(2).inject(panics(vec![1]));
+    let outcome = study.run(&runner, &workload).unwrap();
+    assert_eq!(outcome.failed.len(), 1);
+    assert_eq!(outcome.failed[0].label, "iq8-iqb16");
+    assert_eq!(outcome.computed, 8);
+    assert!(outcome.points[1].is_none());
+
+    // Row IQ 8B, column IQB 16B reads `-`; its neighbours are measured.
+    let table = study.render(&outcome.points);
+    let row = table
+        .lines()
+        .find(|l| l.starts_with("       8B |"))
+        .unwrap();
+    let cells: Vec<&str> = row.split_whitespace().skip(2).collect();
+    assert_eq!(cells.len(), 3);
+    assert_eq!(cells[1], "-", "{row}");
+    assert!(cells[0].ends_with('k') && cells[2].ends_with('k'), "{row}");
+    assert!(render_failures(&outcome.failed).contains("[failed] iq8-iqb16 @ 64B (job 1)"));
+
+    let strict = SweepRunner::new().strict(true).inject(panics(vec![0]));
+    let err = study.run(&strict, &workload).unwrap_err();
+    assert_eq!(err.partial().failed.len(), 1);
+    assert_eq!(err.partial().computed, 0, "fail-fast: nothing after job 0");
 }
