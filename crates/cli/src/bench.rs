@@ -46,7 +46,7 @@ benches:
                        paper's cache sizes
   synthetic            synthetic kernels (tight loops, branch-heavy code)
                        across the same three engines
-  asm_matmul           the bundled matmul assembly program (pipe-asm),
+  asm_matmul           the bundled matmul assembly program,
                        with and without a 128-byte write-through D-cache
                        competing for the memory port
 
@@ -271,8 +271,8 @@ fn synthetic_points(quick: bool, reps: u32) -> Result<Vec<BenchPoint>, String> {
 }
 
 fn asm_matmul_points(quick: bool, reps: u32) -> Result<Vec<BenchPoint>, String> {
-    let lib = pipe_asm::find_program("matmul").expect("matmul is bundled");
-    let program = pipe_asm::Assembler::new(InstrFormat::Fixed32)
+    let lib = pipe_workloads::find_program("matmul").expect("matmul is bundled");
+    let program = pipe_isa::Assembler::new(InstrFormat::Fixed32)
         .assemble(lib.source)
         .map_err(|e| format!("matmul: {e}"))?;
     let program = Arc::new(DecodedProgram::new(program));

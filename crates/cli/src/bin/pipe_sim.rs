@@ -66,12 +66,7 @@ fn main() -> ExitCode {
         (suite.program().clone(), key)
     } else {
         let path = opts.input.as_deref().expect("validated");
-        let loaded = if opts.from_asm {
-            pipe_cli::load_asm_program(path, opts.format)
-        } else {
-            pipe_cli::load_program(path, opts.format)
-        };
-        match loaded {
+        match pipe_cli::load_program(path, opts.format) {
             Ok(p) => (p, format!("file:{path}")),
             Err(e) => {
                 eprintln!("pipe-sim: {e}");
@@ -153,7 +148,7 @@ fn run_and_report<S: TraceSink>(
                 }
             }
             if opts.json {
-                println!("{}", pipe_cli::stats_json(stats));
+                println!("{}", pipe_experiments::stats_json(stats));
             } else {
                 println!("{stats}");
             }

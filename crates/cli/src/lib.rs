@@ -5,11 +5,11 @@
 //! * **`pipe-sim`** — assemble a PIPE program and run it on a configurable
 //!   processor (fetch strategy, cache geometry, memory timing), printing
 //!   statistics and optionally a cycle trace.
-//! * **`pipe-asm`** — assemble a program and print its disassembly or
-//!   parcel hex dump.
+//! * **`pipe-sim asm`** — assemble a program into the binary container,
+//!   or print its disassembly or parcel hex dump.
 //!
-//! Argument parsing lives here so it can be unit tested; the binaries are
-//! thin wrappers.
+//! Argument parsing lives here so it can be unit tested; the binary is a
+//! thin wrapper.
 
 use pipe_core::{FetchStrategy, SimConfig};
 use pipe_icache::{ConvPrefetch, EngineBuilder, FetchKind};
@@ -33,15 +33,11 @@ pub use serve::{
 /// Options for `pipe-sim`, parsed from the command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
-    /// Path to the assembly source (`-` for stdin), or `None` for
-    /// `--livermore`.
+    /// The program: an assembly or binary-container file, a bundled
+    /// program name, or `-` for stdin; `None` for `--livermore`.
     pub input: Option<String>,
     /// Run the built-in Livermore benchmark instead of a file.
     pub livermore: bool,
-    /// Assemble text input with the full `pipe-asm` front end
-    /// (`.org`/`.word` layout, bundled-program names) instead of the
-    /// seed grammar.
-    pub from_asm: bool,
     /// The simulation configuration.
     pub config: SimConfig,
     /// Instruction format for assembly.
@@ -81,8 +77,7 @@ pub struct SimOptions {
 
 /// The usage string for `pipe-sim`.
 pub const SIM_USAGE: &str = "\
-usage: pipe-sim <program.s> [options]
-       pipe-sim run --from-asm <program.s|name|-> [options]
+usage: pipe-sim [run] <program.s|program.bin|name|-> [options]
        pipe-sim --livermore [options]
        pipe-sim --sweep 4a|4b|5a|5b|6a|6b|id [--jobs N] [--resume] [--store DIR]
                 [--strict] [--events DIR]
@@ -113,10 +108,10 @@ memory:
   --dline BYTES        D-cache line size            (default: 16)
   --dways N            D-cache associativity        (default: 1)
 
+input: an assembly file, a binary container (auto-detected), the name
+of a bundled program (see pipe-sim asm --list), or `-` for stdin.
+
 other:
-  --from-asm           assemble text input with the pipe-asm front end
-                       (enables .org/.word layout, bundled program names,
-                       and `-` for stdin); binary input is auto-detected
   --format fixed32|mixed   instruction format       (default: fixed32)
   --trace              print a cycle trace to stderr
   --record-trace FILE  record the run into a binary .ptr trace (replay it
@@ -158,7 +153,6 @@ fn parse_num(flag: &str, value: Option<&String>) -> Result<u32, String> {
 pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     let mut input = None;
     let mut livermore = false;
-    let mut from_asm = false;
     let mut fetch_kind = "pipe".to_string();
     let mut cache = 128u32;
     let mut line = 16u32;
@@ -212,7 +206,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
             "--dcache" => dcache = parse_num("--dcache", it.next())?,
             "--dline" => dline = parse_num("--dline", it.next())?,
             "--dways" => dways = parse_num("--dways", it.next())?,
-            "--from-asm" => from_asm = true,
             "--format" => {
                 format = match it.next().map(String::as_str) {
                     Some("fixed32") => InstrFormat::Fixed32,
@@ -281,9 +274,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     if record_trace.is_some() && (sweep.is_some() || compare) {
         return Err("--record-trace records a single run (not --sweep or --compare)".into());
     }
-    if input.as_deref() == Some("-") && !from_asm {
-        return Err("reading a program from stdin needs --from-asm".into());
-    }
 
     if dcache > 0 {
         mem.d_cache = Some(DCacheConfig {
@@ -320,7 +310,6 @@ pub fn parse_sim_args(args: &[String]) -> Result<SimOptions, String> {
     Ok(SimOptions {
         input,
         livermore,
-        from_asm,
         config,
         format,
         trace,
@@ -732,10 +721,6 @@ pub fn run_store_command(args: &[String]) -> Result<String, String> {
     }
 }
 
-// The `--json` statistics shape now lives in the shared JSON module so
-// the CLI and the simulation service emit byte-identical stats objects.
-pub use pipe_experiments::stats_json;
-
 /// Runs `program` under every fetch strategy at the given base
 /// configuration and returns `(label, stats)` per strategy, in a fixed
 /// presentation order. Strategies whose geometry is invalid for the
@@ -788,91 +773,10 @@ pub fn render_comparison(rows: &[(String, pipe_core::SimStats)]) -> String {
     out
 }
 
-/// Options for `pipe-asm`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsmOptions {
-    /// Path to the assembly source.
-    pub input: String,
-    /// Instruction format.
-    pub format: InstrFormat,
-    /// Print a hex dump of the parcels instead of a disassembly.
-    pub hex: bool,
-    /// Write the assembled program to this binary file.
-    pub output: Option<String>,
-}
-
-/// The usage string for `pipe-asm`.
-pub const ASM_USAGE: &str = "\
-usage: pipe-asm <program.s> [--format fixed32|mixed] [--hex] [-o out.bin]
-
-Assembles a PIPE program with the full pipe-asm grammar (labels with
-forward references, .org/.word/.align layout) and prints its
-round-trippable disassembly (default) or a parcel hex dump (--hex).
-With -o, also writes a binary image that pipe-sim can run directly.
-";
-
-/// Parses `pipe-asm` arguments.
-///
-/// # Errors
-///
-/// Returns a user-facing message for unknown flags or a missing input.
-pub fn parse_asm_args(args: &[String]) -> Result<AsmOptions, String> {
-    let mut input = None;
-    let mut format = InstrFormat::Fixed32;
-    let mut hex = false;
-    let mut output = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("fixed32") => InstrFormat::Fixed32,
-                    Some("mixed") => InstrFormat::Mixed,
-                    other => return Err(format!("--format: unknown format {other:?}")),
-                };
-            }
-            "--hex" => hex = true,
-            "-o" | "--output" => {
-                output = Some(it.next().ok_or("-o needs a file name")?.to_string());
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
-            path => {
-                if input.is_some() {
-                    return Err("more than one input file".into());
-                }
-                input = Some(path.to_string());
-            }
-        }
-    }
-    Ok(AsmOptions {
-        input: input.ok_or("no input program")?,
-        format,
-        hex,
-        output,
-    })
-}
-
-/// Loads a program from `path`: the PIPE binary container if the file
-/// starts with its magic, assembly text otherwise.
-///
-/// # Errors
-///
-/// Returns a user-facing message for I/O, assembly, or container errors.
-pub fn load_program(path: &str, format: InstrFormat) -> Result<pipe_isa::Program, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if bytes.starts_with(&pipe_isa::binfmt::MAGIC) {
-        return pipe_isa::read_program(&bytes).map_err(|e| format!("{path}: {e}"));
-    }
-    let source = String::from_utf8(bytes).map_err(|_| format!("{path}: not UTF-8 assembly"))?;
-    pipe_isa::Assembler::new(format)
-        .assemble(&source)
-        .map_err(|e| format!("{path}: {e}"))
-}
-
-/// Reads program input bytes for the `pipe-asm` front end: stdin for
-/// `-`, the file at `path` if it exists, or the bundled program library
-/// by name (`matmul`, `sort`, `memcpy`).
-fn read_asm_input(path: &str) -> Result<(Vec<u8>, String), String> {
+/// Reads program input bytes: stdin for `-`, the file at `path` if it
+/// exists, or the bundled program library by name (`matmul`, `sort`,
+/// `memcpy`).
+fn read_program_input(path: &str) -> Result<(Vec<u8>, String), String> {
     if path == "-" {
         use std::io::Read;
         let mut bytes = Vec::new();
@@ -883,28 +787,27 @@ fn read_asm_input(path: &str) -> Result<(Vec<u8>, String), String> {
     }
     match std::fs::read(path) {
         Ok(bytes) => Ok((bytes, path.to_string())),
-        Err(e) => match pipe_asm::find_program(path) {
+        Err(e) => match pipe_workloads::find_program(path) {
             Some(lib) => Ok((lib.source.as_bytes().to_vec(), format!("<bundled {path}>"))),
             None => Err(format!("cannot read {path}: {e}")),
         },
     }
 }
 
-/// Loads a program through the `pipe-asm` front end: a binary container
-/// passes through untouched; text is assembled with the full grammar
-/// (`.org`/`.word` layout, forward references). `path` may be a file,
-/// a bundled program name, or `-` for stdin.
+/// Loads a program: a binary container passes through untouched; text is
+/// assembled under `format`. `path` may be a file, a bundled program
+/// name, or `-` for stdin.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message for I/O, assembly, or container errors.
-pub fn load_asm_program(path: &str, format: InstrFormat) -> Result<pipe_isa::Program, String> {
-    let (bytes, origin) = read_asm_input(path)?;
+pub fn load_program(path: &str, format: InstrFormat) -> Result<pipe_isa::Program, String> {
+    let (bytes, origin) = read_program_input(path)?;
     if bytes.starts_with(&pipe_isa::binfmt::MAGIC) {
         return pipe_isa::read_program(&bytes).map_err(|e| format!("{origin}: {e}"));
     }
     let source = String::from_utf8(bytes).map_err(|_| format!("{origin}: not UTF-8 assembly"))?;
-    pipe_asm::Assembler::new(format)
+    pipe_isa::Assembler::new(format)
         .assemble(&source)
         .map_err(|e| format!("{origin}: {e}"))
 }
@@ -932,11 +835,11 @@ pub const ASM_CMD_USAGE: &str = "\
 usage: pipe-sim asm <program.s|name|-> [options]
        pipe-sim asm --list
 
-Assembles a PIPE program with the pipe-asm front end (labels with forward
-references, .org/.word/.align layout, column-precise diagnostics) and
-writes the binary container to stdout, ready to pipe into
-`pipe-sim run --from-asm -`. The input may be a file, the name of a
-bundled program (see --list), or `-` for stdin.
+Assembles a PIPE program (labels with forward references,
+.org/.word/.align layout, column-precise diagnostics) and writes the
+binary container to stdout, ready to pipe into `pipe-sim run -`. The
+input may be a file, the name of a bundled program (see --list), or `-`
+for stdin.
 
   --format fixed32|mixed   instruction format       (default: fixed32)
   -o FILE              write the binary here instead of stdout
@@ -1018,15 +921,15 @@ pub enum AsmCmdOutput {
 pub fn run_asm_command(opts: &AsmCmdOptions) -> Result<AsmCmdOutput, String> {
     if opts.list {
         let mut out = String::from("bundled programs (pipe-sim asm <name>):\n");
-        for lib in pipe_asm::LIBRARY {
+        for lib in pipe_workloads::LIBRARY {
             out.push_str(&format!("  {:<8} {}\n", lib.name, lib.title));
         }
         return Ok(AsmCmdOutput::Text(out));
     }
     let input = opts.input.as_deref().expect("validated");
-    let program = load_asm_program(input, opts.format)?;
+    let program = load_program(input, opts.format)?;
     if opts.disasm {
-        return Ok(AsmCmdOutput::Text(pipe_asm::disassemble(&program)));
+        return Ok(AsmCmdOutput::Text(pipe_isa::disassemble(&program)));
     }
     if opts.hex {
         return Ok(AsmCmdOutput::Text(hex_dump(&program)));
@@ -1127,11 +1030,17 @@ mod tests {
 
     #[test]
     fn asm_parsing() {
-        let o = parse_asm_args(&args("p.s --format mixed --hex")).unwrap();
-        assert_eq!(o.input, "p.s");
+        let o = parse_asm_cmd_args(&args("p.s --format mixed --hex")).unwrap();
+        assert_eq!(o.input.as_deref(), Some("p.s"));
         assert_eq!(o.format, InstrFormat::Mixed);
         assert!(o.hex);
-        assert!(parse_asm_args(&args("--hex")).is_err());
+        let o = parse_asm_cmd_args(&args("- --disasm -o out.bin")).unwrap();
+        assert_eq!(o.input.as_deref(), Some("-"));
+        assert!(o.disasm);
+        assert_eq!(o.output.as_deref(), Some("out.bin"));
+        assert!(parse_asm_cmd_args(&args("--list")).unwrap().list);
+        assert!(parse_asm_cmd_args(&args("--hex")).is_err());
+        assert!(parse_asm_cmd_args(&args("p.s --disasm --hex")).is_err());
     }
 
     #[test]
@@ -1162,20 +1071,6 @@ mod tests {
         assert!(o.compare);
         assert_eq!(o.cache_bytes, 64);
         assert_eq!(o.line_bytes, 16);
-    }
-
-    #[test]
-    fn stats_json_is_valid_shape() {
-        let stats = pipe_core::SimStats {
-            cycles: 100,
-            instructions_issued: 40,
-            ..Default::default()
-        };
-        let j = stats_json(&stats);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"cycles\":100"));
-        assert!(j.contains("\"cpi\":2.5000"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
     #[test]

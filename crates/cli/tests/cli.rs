@@ -1,4 +1,4 @@
-//! End-to-end tests of the `pipe-sim` and `pipe-asm` binaries.
+//! End-to-end tests of the `pipe-sim` binary.
 
 use std::io::Write;
 use std::process::Command;
@@ -22,8 +22,10 @@ fn pipe_sim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pipe-sim"))
 }
 
-fn pipe_asm() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_pipe-asm"))
+fn pipe_sim_asm() -> Command {
+    let mut cmd = pipe_sim();
+    cmd.arg("asm");
+    cmd
 }
 
 #[test]
@@ -123,19 +125,23 @@ fn sim_reports_assembly_errors_with_line() {
 #[test]
 fn asm_disassembles() {
     let src = write_temp("dis.s", PROGRAM);
-    let out = pipe_asm().arg(&src).output().expect("spawn");
+    let out = pipe_sim_asm()
+        .args([src.to_str().unwrap(), "--disasm"])
+        .output()
+        .expect("spawn");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("top:"), "{stdout}");
     assert!(stdout.contains("pbr.nez"), "{stdout}");
-    assert!(stdout.contains("5 instructions"), "{stdout}");
+    let instructions = stdout.lines().filter(|l| l.starts_with("    ")).count();
+    assert_eq!(instructions, 5, "{stdout}");
 }
 
 #[test]
 fn asm_binary_roundtrips_through_sim() {
     let src = write_temp("bin.s", PROGRAM);
     let bin = std::env::temp_dir().join(format!("pipe-cli-test-{}.bin", std::process::id()));
-    let out = pipe_asm()
+    let out = pipe_sim_asm()
         .args([src.to_str().unwrap(), "-o", bin.to_str().unwrap()])
         .output()
         .expect("spawn");
@@ -144,6 +150,8 @@ fn asm_binary_roundtrips_through_sim() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("5 instructions"), "{stdout}");
 
     let out = pipe_sim().arg(&bin).output().expect("spawn");
     assert!(
@@ -170,7 +178,7 @@ fn sim_timeout_reports_queue_snapshot() {
 
 #[test]
 fn help_flags() {
-    for mut cmd in [pipe_sim(), pipe_asm()] {
+    for mut cmd in [pipe_sim(), pipe_sim_asm()] {
         let out = cmd.arg("--help").output().expect("spawn");
         assert!(out.status.success());
         assert!(String::from_utf8(out.stdout).unwrap().contains("usage:"));

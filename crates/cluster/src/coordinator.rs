@@ -738,6 +738,10 @@ fn stats_from_response(body: &str) -> Option<SimStats> {
     stats.fetch.cache_misses = field_u64(body, "cache_misses")?;
     stats.fetch.redirects = field_u64(body, "redirects")?;
     stats.fetch.wasted_requests = field_u64(body, "wasted_requests")?;
+    stats.mem.d_hits = field_u64(body, "d_hits")?;
+    stats.mem.d_misses = field_u64(body, "d_misses")?;
+    stats.mem.d_store_hits = field_u64(body, "d_store_hits")?;
+    stats.mem.contended_cycles = field_u64(body, "contended_cycles")?;
     Some(stats)
 }
 
@@ -857,6 +861,10 @@ mod tests {
         stats.fetch.cache_misses = 105;
         stats.fetch.redirects = 106;
         stats.fetch.wasted_requests = 107;
+        stats.mem.d_hits = 201;
+        stats.mem.d_misses = 202;
+        stats.mem.d_store_hits = 203;
+        stats.mem.contended_cycles = 204;
         let response = format!(
             "{{\"key\":\"k\",\"strategy\":\"16-16\",\"cache_bytes\":64,\"stats\":{}}}",
             stats_json(&stats)

@@ -97,12 +97,11 @@ pub enum WorkloadSpec {
         /// Content hash of the trace file's bytes.
         fnv: u64,
     },
-    /// A program from the bundled assembly library (`programs/`),
-    /// assembled with `pipe-asm`. The key fragment includes the FNV-1a 64
+    /// A program from the bundled assembly library (`programs/`). The key fragment includes the FNV-1a 64
     /// digest of the source text, so stored results are invalidated
     /// whenever the program is edited.
     Asm {
-        /// Library program name (`pipe_asm::library`).
+        /// Library program name (`pipe_workloads::library`).
         name: String,
         /// Content hash of the assembly source text.
         fnv: u64,
@@ -146,13 +145,15 @@ impl WorkloadSpec {
     /// A user-facing message when `name` is not a bundled program or the
     /// source fails to assemble under `format`.
     pub fn asm(name: &str, format: InstrFormat) -> Result<WorkloadSpec, String> {
-        let lib = pipe_asm::find_program(name).ok_or_else(|| {
+        let lib = pipe_workloads::find_program(name).ok_or_else(|| {
             format!(
                 "unknown asm program `{name}` (available: {})",
-                pipe_asm::library::names().collect::<Vec<_>>().join(", ")
+                pipe_workloads::library::names()
+                    .collect::<Vec<_>>()
+                    .join(", ")
             )
         })?;
-        pipe_asm::Assembler::new(format)
+        pipe_isa::Assembler::new(format)
             .assemble(lib.source)
             .map_err(|e| format!("{name} does not assemble: {e}"))?;
         Ok(WorkloadSpec::Asm {
@@ -191,9 +192,9 @@ impl WorkloadSpec {
             WorkloadSpec::Trace { path, .. } => crate::tracerun::trace_program(Path::new(path))
                 .expect("trace workload validated at construction"),
             WorkloadSpec::Asm { name, format, .. } => {
-                let lib =
-                    pipe_asm::find_program(name).expect("asm workload validated at construction");
-                pipe_asm::Assembler::new(*format)
+                let lib = pipe_workloads::find_program(name)
+                    .expect("asm workload validated at construction");
+                pipe_isa::Assembler::new(*format)
                     .assemble(lib.source)
                     .expect("asm workload validated at construction")
             }

@@ -1,6 +1,6 @@
 //! A simple binary container for assembled programs.
 //!
-//! Lets `pipe-asm` write an assembled image that `pipe-sim` (or any other
+//! Lets `pipe-sim asm` write an assembled image that `pipe-sim` (or any other
 //! tool) can load without re-assembling. The format is little-endian:
 //!
 //! ```text

@@ -46,23 +46,26 @@
 //! ```
 
 pub mod asm;
+mod assemble;
 pub mod binfmt;
 pub mod decode;
 pub mod decoded;
 pub mod disasm;
 pub mod encode;
+mod error;
 pub mod format;
 pub mod instruction;
 pub mod opcode;
 pub mod program;
 pub mod reg;
 
-pub use asm::{AsmError, Assembler};
+pub use asm::Assembler;
 pub use binfmt::{read_program, write_program, BinError};
 pub use decode::{decode, DecodeError};
 pub use decoded::DecodedProgram;
 pub use disasm::disassemble;
 pub use encode::encode;
+pub use error::{AsmError, AsmErrorKind};
 pub use format::InstrFormat;
 pub use instruction::{AluOp, Cond, Instruction, SourceRegs};
 pub use opcode::Opcode;

@@ -467,7 +467,7 @@ fn handle_workloads(state: &AppState) -> Response {
          {\"workload\":\"tight-loop\",\"fields\":[\"body\",\"trips\",\"format\"]},\
          {\"workload\":\"asm\",\"fields\":[\"program\",\"format\"],\"programs\":[",
     );
-    for (i, name) in pipe_asm::library::names().enumerate() {
+    for (i, name) in pipe_workloads::library::names().enumerate() {
         if i > 0 {
             body.push(',');
         }

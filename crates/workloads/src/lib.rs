@@ -25,6 +25,10 @@
 //! this for every kernel, and the crate's tests run each kernel to
 //! completion on the functional simulator.
 //!
+//! The [`library`] bundles real assembly programs from `programs/`
+//! (matrix multiply, sort, memcpy) that exercise the data side of the
+//! shared memory port.
+//!
 //! Synthetic workloads ([`synthetic`]) cover unit tests, examples and
 //! micro-benchmarks: straight-line code, tight loops, branch-heavy code and
 //! load/store stress. [`traces`] generates synthetic instruction-address
@@ -33,12 +37,14 @@
 
 pub mod calibrate;
 pub mod codegen;
+pub mod library;
 pub mod livermore;
 pub mod synthetic;
 pub mod traces;
 
 pub use calibrate::calibrate_trips;
 pub use codegen::{FpKind, Kernel, KernelOp, Src};
+pub use library::{find as find_program, LibraryProgram, LIBRARY};
 pub use livermore::{
     kernel_program, livermore_benchmark, single_kernel_program, LivermoreSuite, LoopInfo,
     PAPER_TOTAL_INSTRUCTIONS, TABLE1_INNER_LOOP_BYTES,

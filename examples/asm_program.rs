@@ -1,20 +1,19 @@
-//! Assemble a bundled program with the pipe-asm front end, disassemble
-//! it round-trip, and study the I-vs-D memory-port contention with and
+//! Assemble a bundled program, disassemble it round-trip, and study the I-vs-D memory-port contention with and
 //! without a data cache.
 //!
 //! ```sh
 //! cargo run --release --example asm_program
 //! ```
 
-use pipe_repro::asm::{disassemble, find_program, Assembler, LIBRARY};
 use pipe_repro::core::{run_program, SimConfig, SimStats};
 use pipe_repro::experiments::figure_mem;
 use pipe_repro::icache::PrefetchPolicy;
-use pipe_repro::isa::InstrFormat;
+use pipe_repro::isa::{disassemble, Assembler, InstrFormat};
 use pipe_repro::mem::{DCacheConfig, MemConfig};
+use pipe_repro::workloads::{find_program, LIBRARY};
 
 fn main() {
-    // The bundled program library ships with the assembler crate.
+    // The bundled program library ships with the workloads crate.
     println!("bundled programs:");
     for p in LIBRARY {
         println!("  {:<8} {}", p.name, p.title);

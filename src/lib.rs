@@ -6,16 +6,15 @@
 //! This crate re-exports the workspace's public API so applications can
 //! depend on a single crate:
 //!
-//! * [`isa`] — the PIPE instruction set, assembler and program builder.
-//! * [`asm`] — the full assembler front end (`.org`/`.word` layout,
-//!   column-precise diagnostics, round-trippable disassembler) and the
-//!   bundled program library from `programs/`.
+//! * [`isa`] — the PIPE instruction set, the assembler (`.org`/`.word`
+//!   layout, column-precise diagnostics), the round-trippable
+//!   disassembler, and the program builder.
 //! * [`mem`] — the external memory subsystem (buses, arbitration, FPU).
 //! * [`icache`] — the on-chip instruction fetch engines (conventional
 //!   always-prefetch and the PIPE cache + IQ + IQB strategy).
 //! * [`core`] — the cycle-level PIPE processor simulator.
-//! * [`workloads`] — the 14 Lawrence Livermore kernels and synthetic
-//!   workloads.
+//! * [`workloads`] — the 14 Lawrence Livermore kernels, synthetic
+//!   workloads, and the bundled program library from `programs/`.
 //! * [`trace`] — record runs as compact binary traces and replay them
 //!   through any fetch engine.
 //! * [`experiments`] — the harness that regenerates every table and figure
@@ -35,7 +34,6 @@
 //! assert!(stats.instructions_issued > 0);
 //! ```
 
-pub use pipe_asm as asm;
 pub use pipe_core as core;
 pub use pipe_experiments as experiments;
 pub use pipe_icache as icache;
@@ -46,12 +44,12 @@ pub use pipe_workloads as workloads;
 
 /// Convenient single-import surface for examples and tests.
 pub mod prelude {
-    pub use pipe_asm::{disassemble, Assembler as AsmAssembler, LibraryProgram, LIBRARY};
     pub use pipe_core::{run_program, FetchStrategy, Processor, SimConfig, SimStats};
     pub use pipe_icache::{CacheConfig, PipeFetchConfig, PrefetchPolicy};
     pub use pipe_isa::{
-        AluOp, Assembler, BranchReg, Cond, InstrFormat, Instruction, Program, ProgramBuilder, Reg,
+        disassemble, AluOp, Assembler, BranchReg, Cond, InstrFormat, Instruction, Program,
+        ProgramBuilder, Reg,
     };
     pub use pipe_mem::{MemConfig, PriorityPolicy};
-    pub use pipe_workloads::{livermore_benchmark, LivermoreSuite};
+    pub use pipe_workloads::{livermore_benchmark, LibraryProgram, LivermoreSuite, LIBRARY};
 }

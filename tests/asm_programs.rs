@@ -31,8 +31,8 @@ fn run(
 }
 
 fn assemble(name: &str, format: InstrFormat) -> Program {
-    let lib = pipe_repro::asm::find_program(name).expect("bundled program");
-    AsmAssembler::new(format)
+    let lib = pipe_repro::workloads::find_program(name).expect("bundled program");
+    Assembler::new(format)
         .assemble(lib.source)
         .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
@@ -131,7 +131,7 @@ fn dcache_speeds_up_sort_without_changing_results() {
 #[test]
 fn assembled_binaries_survive_the_binfmt_round_trip() {
     for lib in LIBRARY {
-        let program = AsmAssembler::new(InstrFormat::Fixed32)
+        let program = Assembler::new(InstrFormat::Fixed32)
             .assemble(lib.source)
             .unwrap();
         let bytes = pipe_repro::isa::write_program(&program);

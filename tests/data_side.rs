@@ -25,8 +25,8 @@ use pipe_repro::isa::{DecodedProgram, InstrFormat};
 use pipe_repro::mem::{DCacheConfig, MemConfig};
 
 fn matmul_program() -> pipe_repro::isa::Program {
-    let lib = pipe_repro::asm::find_program("matmul").expect("matmul is bundled");
-    pipe_repro::asm::Assembler::new(InstrFormat::Fixed32)
+    let lib = pipe_repro::workloads::find_program("matmul").expect("matmul is bundled");
+    pipe_repro::isa::Assembler::new(InstrFormat::Fixed32)
         .assemble(lib.source)
         .expect("bundled matmul assembles")
 }

@@ -139,11 +139,15 @@ fn deep_delay_slots_execute_exactly_once_per_iteration() {
 fn disassembler_round_trips_the_livermore_suite() {
     let suite = livermore_benchmark();
     let text = pipe_repro::isa::disassemble(suite.program());
-    assert!(text.contains("loop1:"));
-    assert!(text.contains("loop14:"));
-    assert!(text.contains("pbr.nez"));
-    // Every loop label present.
     for i in 1..=14 {
         assert!(text.contains(&format!("loop{i}:")), "loop{i} missing");
     }
+    let again = Assembler::new(InstrFormat::Fixed32)
+        .assemble(&text)
+        .expect("the disassembly reassembles");
+    assert_eq!(
+        pipe_repro::isa::write_program(&again),
+        pipe_repro::isa::write_program(suite.program()),
+        "the Livermore suite drifted through the disassembler"
+    );
 }
