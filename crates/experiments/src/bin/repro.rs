@@ -33,13 +33,17 @@
 //! functional core, and the result store keys on the trace's content
 //! hash. Record a trace with `pipe-sim --livermore --record-trace`.
 //!
-//! Figures, ablations, and studies all run on the parallel sweep engine
-//! (the profile, which traces every cycle, runs alone): `--jobs N`
-//! spreads the points over N worker threads (cycle counts are
-//! bit-identical to a serial run), `--store DIR` persists every measured
-//! point to a content-addressed store under DIR (default `results/`), and
-//! `--resume` loads previously stored points instead of re-simulating
-//! them. `--progress` prints one line per point with its wall time.
+//! Figures, ablations, and studies all run on one parallel sweep runner
+//! (the profile, which traces every cycle, runs alone), which simulates
+//! each configuration once per run: a section that repeats points of an
+//! earlier one (fig. 6a re-plots 5b) reuses them. `--jobs N` spreads the
+//! points over N worker threads (cycle counts are bit-identical to a
+//! serial run), `--store DIR` persists every measured point to a
+//! content-addressed store under DIR (default `results/`), and `--resume`
+//! loads previously stored points instead of re-simulating them.
+//! `--progress` prints one line per point with its wall time (`[cached]`
+//! for a point not simulated by its section). A section named twice runs
+//! once.
 //!
 //! Runs are fault-tolerant: a failed point is reported (and marked
 //! missing in its table) while every other point completes, and the run
@@ -80,7 +84,10 @@ struct Options {
     events: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the arguments after the program name. A section named twice
+/// (`--all --fig4a`, `--ablation-tib --ablation-tib`) runs once, at the
+/// position where it was first named.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         tables: Vec::new(),
         figures: Vec::new(),
@@ -100,7 +107,7 @@ fn parse_args() -> Result<Options, String> {
         events: None,
     };
     let mut any = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--all" => {
@@ -186,7 +193,20 @@ fn parse_args() -> Result<Options, String> {
         opts.tables = vec!["1", "2"];
         opts.figures = ALL_FIGURES.to_vec();
     }
+    dedup_in_order(&mut opts.tables);
+    dedup_in_order(&mut opts.figures);
+    dedup_in_order(&mut opts.ablations);
     Ok(opts)
+}
+
+/// Drops every repeat of an earlier id, keeping first-seen order.
+fn dedup_in_order(ids: &mut Vec<&'static str>) {
+    let mut seen = Vec::with_capacity(ids.len());
+    ids.retain(|id| {
+        let first = !seen.contains(id);
+        seen.push(*id);
+        first
+    });
 }
 
 fn emit(fig: &Figure, failed: &[FailedJob], opts: &Options, violations: &mut Vec<String>) {
@@ -225,7 +245,7 @@ fn abort(e: &SweepError) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("repro: {e}");
@@ -360,4 +380,33 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Options {
+        parse_args(args.iter().map(|a| a.to_string())).unwrap()
+    }
+
+    #[test]
+    fn repeated_sections_run_once_in_first_seen_order() {
+        let opts = parse(&["--all", "--fig4a", "--ablation-tib", "--fig6b"]);
+        assert_eq!(opts.figures, ALL_FIGURES);
+        assert_eq!(opts.ablations, ALL_ABLATIONS);
+
+        let opts = parse(&[
+            "--ablation-tib",
+            "--ablation-tib",
+            "--fig5b",
+            "--fig4a",
+            "--fig5b",
+        ]);
+        assert_eq!(opts.ablations, ["tib"]);
+        assert_eq!(opts.figures, ["5b", "4a"]);
+
+        let opts = parse(&["--all", "--table2"]);
+        assert_eq!(opts.tables, ["1", "2"]);
+    }
 }

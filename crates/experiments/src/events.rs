@@ -9,12 +9,16 @@
 //!
 //! Every event carries `ts_ms` (milliseconds since the Unix epoch) and
 //! the run id; job events add the job's expansion `index`, strategy,
-//! cache size, and the worker that executed it. Example:
+//! cache size, and the worker that executed it. A `job_cached` event says
+//! where the point came from: `"memo"` when the same runner had already
+//! simulated that configuration earlier in the process, `"store"` when it
+//! was loaded from the result store. Example:
 //!
 //! ```text
 //! {"event":"run_start","ts_ms":...,"run":"fig5b","jobs":28,"workers":4,"strict":false}
 //! {"event":"job_start","ts_ms":...,"run":"fig5b","index":3,"strategy":"conventional","cache_bytes":128,"worker":1}
 //! {"event":"job_finish","ts_ms":...,"run":"fig5b","index":3,"strategy":"conventional","cache_bytes":128,"worker":1,"cycles":302905,"wall_ms":512}
+//! {"event":"job_cached","ts_ms":...,"run":"fig6a","index":0,"strategy":"conventional","cache_bytes":16,"cycles":1448501,"source":"memo"}
 //! {"event":"job_failed","ts_ms":...,"run":"fig5b","index":4,"strategy":"conventional","cache_bytes":256,"worker":2,"error":"..."}
 //! {"event":"run_finish","ts_ms":...,"run":"fig5b","computed":27,"cached":0,"failed":1,"wall_ms":9182}
 //! ```
@@ -116,12 +120,22 @@ impl RunLog {
         );
     }
 
-    /// A job was satisfied from the result store.
-    pub fn job_cached(&self, index: usize, strategy: &str, cache_bytes: u32, cycles: u64) {
+    /// A job was not simulated: `source` is `"memo"` when the runner had
+    /// already simulated its key, `"store"` when it came from the result
+    /// store.
+    pub fn job_cached(
+        &self,
+        index: usize,
+        strategy: &str,
+        cache_bytes: u32,
+        cycles: u64,
+        source: &str,
+    ) {
         self.emit(
             "job_cached",
             &format!(
-                "\"index\":{index},\"strategy\":\"{}\",\"cache_bytes\":{cache_bytes},\"cycles\":{cycles}",
+                "\"index\":{index},\"strategy\":\"{}\",\"cache_bytes\":{cache_bytes},\
+                 \"cycles\":{cycles},\"source\":\"{source}\"",
                 json_escape(strategy)
             ),
         );
@@ -220,11 +234,13 @@ mod tests {
         log.job_start(0, "16-16", 64, 1);
         log.job_finish(0, "16-16", 64, 1, 12345, 7);
         log.job_failed(1, "conv \"q\"", 32, 0, "panicked: \\ boom");
-        log.run_finish(1, 0, 1, 99);
+        log.job_cached(2, "16-16", 128, 6789, "memo");
+        log.job_cached(3, "16-16", 256, 4321, "store");
+        log.run_finish(1, 2, 1, 99);
 
         let text = std::fs::read_to_string(log.path()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 7);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert_eq!(line.matches('{').count(), line.matches('}').count());
@@ -232,7 +248,9 @@ mod tests {
         }
         assert!(lines[0].contains("\"event\":\"run_start\""));
         assert!(lines[3].contains("\"error\":\"panicked: \\\\ boom\""));
-        assert!(lines[4].contains("\"failed\":1"));
+        assert!(lines[4].ends_with(",\"cycles\":6789,\"source\":\"memo\"}"));
+        assert!(lines[5].ends_with(",\"cycles\":4321,\"source\":\"store\"}"));
+        assert!(lines[6].contains("\"failed\":1"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,9 +16,12 @@
 //! [`pipe_core::run_decoded`], which fast-forwards provably idle stall
 //! windows, or — for trace workloads — through the trace replay engine.
 //!
-//! With a [`ResultStore`] attached and resume enabled, each job's
-//! canonical configuration key (see [`SweepJob::key`]) is checked against
-//! the store first; previously computed points are loaded instead of
+//! A runner remembers every point it has simulated, by canonical
+//! configuration key (see [`SweepJob::key`]): a later job list on the same
+//! runner that repeats a key reuses the point instead of re-simulating it
+//! (fig. 6a re-plots 5b, and many ablation and study points repeat figure
+//! points). With a [`ResultStore`] attached and resume enabled, the store
+//! is checked next; previously computed points are loaded instead of
 //! re-simulated, so a re-run after an interrupted or completed sweep only
 //! pays for the missing points.
 //!
@@ -40,13 +43,14 @@
 //! assert_eq!(outcome.series.len(), 5);
 //! ```
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pipe_core::FetchStrategy;
@@ -378,10 +382,11 @@ impl SweepJob {
 pub struct PointOutcome {
     /// The measured (or store-loaded) point.
     pub point: ExperimentPoint,
-    /// Wall-clock time the simulation took (zero when loaded from the
-    /// store).
+    /// Wall-clock time the simulation took (zero when not simulated by
+    /// this sweep).
     pub wall: Duration,
-    /// Whether the point was loaded from the result store.
+    /// Whether the point was not simulated by this sweep: the runner had
+    /// already simulated its key, or it was loaded from the result store.
     pub cached: bool,
 }
 
@@ -480,7 +485,7 @@ pub struct SweepOutcome {
     pub series: Vec<Series>,
     /// Points actually simulated (successfully) this run.
     pub computed: usize,
-    /// Points satisfied from the result store.
+    /// Points not simulated by this sweep (see [`PointOutcome::cached`]).
     pub cached: usize,
     /// Every job's point, in job order; `None` for a job that failed (or,
     /// after a strict abort, never started).
@@ -534,6 +539,8 @@ struct RunState<'a> {
 /// Executes [`SweepSpec`]s across worker threads with optional
 /// store-backed resume, structured event logging, and progress
 /// reporting. Fault-tolerant by default; see [`SweepRunner::strict`].
+/// Each runner simulates a configuration key at most once: later jobs
+/// with that key reuse the point.
 #[derive(Debug)]
 pub struct SweepRunner {
     jobs: usize,
@@ -543,6 +550,9 @@ pub struct SweepRunner {
     strict: bool,
     events_root: Option<PathBuf>,
     inject: FaultInjection,
+    /// Every point this runner simulated successfully, by key. Store
+    /// loads are not kept: they are already cheap to serve again.
+    memo: Mutex<HashMap<String, ExperimentPoint>>,
 }
 
 impl Default for SweepRunner {
@@ -562,6 +572,7 @@ impl SweepRunner {
             strict: false,
             events_root: None,
             inject: FaultInjection::default(),
+            memo: Mutex::default(),
         }
     }
 
@@ -688,8 +699,9 @@ impl SweepRunner {
         Ok(outcome)
     }
 
-    /// Loads what the store holds, then simulates the rest across the
-    /// workers. Never fails; the outcome records failed jobs.
+    /// Serves what this runner already simulated or the store holds, then
+    /// simulates the rest across the workers. Never fails; the outcome
+    /// records failed jobs.
     fn execute_all(&self, id: &str, workload: &WorkloadSpec, jobs: &[SweepJob]) -> SweepOutcome {
         let started = Instant::now();
         let total = jobs.len();
@@ -714,24 +726,29 @@ impl SweepRunner {
         let mut slots: Vec<Option<PointOutcome>> = (0..total).map(|_| None).collect();
         let mut failed: Vec<FailedJob> = Vec::new();
 
-        // Satisfy what we can from the store first (cheap file reads).
+        // Satisfy what we can from points this runner already simulated,
+        // then from the store (cheap file reads).
         let mut pending: Vec<&SweepJob> = Vec::new();
         for job in jobs {
-            match self.load_cached(&run, job) {
-                Some(entry) => {
-                    let cycles = entry.stats.cycles;
-                    self.report(&run, job, cycles, Duration::ZERO, true);
-                    if let Some(log) = &log {
-                        log.job_cached(job.index, &job.label, job.cache_bytes, cycles);
-                    }
-                    slots[job.index] = Some(PointOutcome {
-                        point: entry.to_point(),
-                        wall: Duration::ZERO,
-                        cached: true,
-                    });
-                }
-                None => pending.push(job),
+            let hit = match self.memoized(job) {
+                Some(point) => Some((point, "memo")),
+                None => self
+                    .load_cached(&run, job)
+                    .map(|entry| (entry.to_point(), "store")),
+            };
+            let Some((point, source)) = hit else {
+                pending.push(job);
+                continue;
+            };
+            self.report(&run, job, point.cycles, Duration::ZERO, true);
+            if let Some(log) = &log {
+                log.job_cached(job.index, &job.label, job.cache_bytes, point.cycles, source);
             }
+            slots[job.index] = Some(PointOutcome {
+                point,
+                wall: Duration::ZERO,
+                cached: true,
+            });
         }
         let cached = total - pending.len();
 
@@ -846,6 +863,21 @@ impl SweepRunner {
         }
     }
 
+    /// The memo. Every update is one whole insert, so a lock poisoned by a
+    /// panicking holder still guards a valid map and is recovered.
+    fn memo(&self) -> MutexGuard<'_, HashMap<String, ExperimentPoint>> {
+        self.memo.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The point this runner already simulated under `job`'s key, with the
+    /// job's own cache size.
+    fn memoized(&self, job: &SweepJob) -> Option<ExperimentPoint> {
+        self.memo().get(job.key()).map(|point| ExperimentPoint {
+            cache_bytes: job.cache_bytes,
+            ..point.clone()
+        })
+    }
+
     /// Resume lookup for one job. An untrusted entry (key mismatch) warns
     /// and reads as absent so the point is recomputed.
     fn load_cached(&self, run: &RunState<'_>, job: &SweepJob) -> Option<StoredPoint> {
@@ -867,9 +899,10 @@ impl SweepRunner {
         }
     }
 
-    /// Simulates one point under `catch_unwind`, persists it (with retry
-    /// and degradation on store failure), and reports progress. A panic
-    /// or simulation error becomes `Err(JobError)` — the job fails alone.
+    /// Simulates one point under `catch_unwind`, memoizes and persists it
+    /// (with retry and degradation on store failure), and reports
+    /// progress. A panic or simulation error becomes `Err(JobError)` — the
+    /// job fails alone.
     fn execute(
         &self,
         run: &RunState<'_>,
@@ -903,6 +936,7 @@ impl SweepRunner {
         let wall = t0.elapsed();
         let error = match result {
             Ok(Ok(point)) => {
+                self.memo().insert(job.key().to_string(), point.clone());
                 self.persist(run, job, &point, wall);
                 self.report(run, job, point.cycles, wall, false);
                 if let Some(log) = log {
@@ -1289,6 +1323,109 @@ mod tests {
         );
         let last = text.lines().last().unwrap();
         assert!(last.contains("\"event\":\"run_finish\"") && last.contains("\"failed\":1"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn memo_keys(runner: &SweepRunner) -> Vec<String> {
+        let mut keys: Vec<String> = runner.memo().keys().cloned().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn memo_serves_shared_keys_losslessly() {
+        let first = small_spec("memo-a");
+        // Shares both 64 B points with `first`; the 128 B points are new.
+        let mut second = small_spec("memo-b");
+        second.cache_sizes = vec![64, 128];
+        let runner = SweepRunner::new().jobs(2);
+        let a = runner.run(&first);
+        assert_eq!((a.computed, a.cached), (4, 0));
+
+        let b = runner.run(&second);
+        assert_eq!((b.computed, b.cached), (2, 2));
+        let (first_jobs, second_jobs) = (first.expand(), second.expand());
+        // The second spec's 64 B jobs (0 and 2) are the first's 1 and 3.
+        for (i, f) in [(0, 1), (2, 3)] {
+            assert_eq!(second_jobs[i].key(), first_jobs[f].key());
+            let hit = b.points[i].as_ref().unwrap();
+            let orig = &a.points[f].as_ref().unwrap().point;
+            assert!(hit.cached);
+            assert_eq!(hit.wall, Duration::ZERO);
+            assert_eq!(hit.point.cycles, orig.cycles);
+            assert_eq!(hit.point.stats, orig.stats, "the whole SimStats");
+            assert!(!b.points[i + 1].as_ref().unwrap().cached, "128 B is new");
+        }
+
+        // A fresh runner has its own (empty) memo.
+        let fresh = SweepRunner::new().run(&second);
+        assert_eq!((fresh.computed, fresh.cached), (4, 0));
+    }
+
+    #[test]
+    fn failed_jobs_are_not_memoized() {
+        let spec = small_spec("memo-fail");
+        let runner = SweepRunner::new().inject(FaultInjection {
+            panic_jobs: vec![1],
+            ..FaultInjection::default()
+        });
+        let first = runner.run(&spec);
+        assert_eq!(first.failed.len(), 1);
+        assert_eq!(memo_keys(&runner).len(), 3);
+
+        // Same runner (memo kept), fault cleared: only the failed key runs.
+        let runner = runner.inject(FaultInjection::default());
+        let second = runner.run(&spec);
+        assert!(second.is_complete());
+        assert_eq!((second.computed, second.cached), (1, 3));
+        assert!(!second.points[1].as_ref().unwrap().cached);
+        assert_eq!(memo_keys(&runner).len(), 4);
+    }
+
+    #[test]
+    fn strict_cancel_memoizes_only_completed_points() {
+        let spec = small_spec("memo-strict");
+        // Serial: job 0 completes, job 1 fails, jobs 2 and 3 never start.
+        let runner = SweepRunner::new().strict(true).inject(FaultInjection {
+            panic_jobs: vec![1],
+            ..FaultInjection::default()
+        });
+        let err = runner.try_run(&spec).unwrap_err();
+        let completed: Vec<usize> = (0..4)
+            .filter(|&i| err.partial().points[i].is_some())
+            .collect();
+        assert_eq!(completed, [0]);
+        assert_eq!(memo_keys(&runner), [spec.expand()[0].key()]);
+    }
+
+    #[test]
+    fn memo_hits_are_logged_with_their_source() {
+        let dir = std::env::temp_dir().join(format!("pipe-sweep-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = small_spec("memo-log");
+        let runner = SweepRunner::new()
+            .store(ResultStore::open(&dir).unwrap())
+            .resume(true)
+            .events(&dir);
+        runner.run(&spec);
+        let again = runner.run(&spec);
+        assert_eq!((again.computed, again.cached), (0, 4));
+        let text = std::fs::read_to_string(again.events_path.unwrap()).unwrap();
+        let cached: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"event\":\"job_cached\""))
+            .collect();
+        assert_eq!(cached.len(), 4);
+        assert!(cached.iter().all(|l| l.ends_with("\"source\":\"memo\"}")));
+
+        // A new runner on the same store loads from the store instead.
+        let warm = SweepRunner::new()
+            .store(ResultStore::open(&dir).unwrap())
+            .resume(true)
+            .events(&dir)
+            .run(&spec);
+        let text = std::fs::read_to_string(warm.events_path.unwrap()).unwrap();
+        assert_eq!(text.matches("\"source\":\"store\"").count(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
