@@ -578,6 +578,7 @@ impl Coordinator {
                     // across topologies and re-runs.
                     wall_ms: 0,
                     stats,
+                    profile: None,
                 };
                 let policy = BackoffPolicy::store_default();
                 let result = policy.run(|_| store.save(&entry), |_, _| Retry::After(None));

@@ -33,10 +33,11 @@
 //! functional core, and the result store keys on the trace's content
 //! hash. Record a trace with `pipe-sim --livermore --record-trace`.
 //!
-//! Figures, ablations, and studies all run on one parallel sweep runner
-//! (the profile, which traces every cycle, runs alone), which simulates
-//! each configuration once per run: a section that repeats points of an
-//! earlier one (fig. 6a re-plots 5b) reuses them. `--jobs N` spreads the
+//! Figures, ablations, the profile, and studies all run on one parallel
+//! sweep runner, which simulates each configuration once per run: a
+//! section that repeats points of an earlier one (fig. 6a re-plots 5b)
+//! reuses them. A profiled point is stored under its own key, with its
+//! per-loop counts, so a warm `--all --resume` simulates nothing. `--jobs N` spreads the
 //! points over N worker threads (cycle counts are bit-identical to a
 //! serial run), `--store DIR` persists every measured point to a
 //! content-addressed store under DIR (default `results/`), and `--resume`
@@ -49,16 +50,17 @@
 //! missing in its table) while every other point completes, and the run
 //! exits 0. `--strict` restores fail-fast semantics — the first failed
 //! point aborts with a nonzero exit. `--events DIR` appends a structured
-//! JSONL event log per figure, ablation panel, and study to
+//! JSONL event log per figure, ablation panel, study, and the profile to
 //! `DIR/events/` (defaults to the store root when a store is in use).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pipe_experiments::figures::{
     try_ablation_with, try_figure_with, try_figure_with_workload, try_joint_id_figure_with, Figure,
     FigureRun, ALL_ABLATIONS, ALL_FIGURES,
 };
+use pipe_experiments::profile::{render_profile, render_profile_csv, try_profile_with};
 use pipe_experiments::report::{check_expectations, render_csv, render_failures, render_text};
 use pipe_experiments::store::ResultStore;
 use pipe_experiments::studies::ALL_STUDIES;
@@ -209,20 +211,25 @@ fn dedup_in_order(ids: &mut Vec<&'static str>) {
     });
 }
 
+/// Writes `text` to `dir/name` and says so, naming the file's kind by
+/// its extension (`[csv written to …]`).
+fn write_output(dir: &Path, name: &str, text: &str) {
+    std::fs::create_dir_all(dir).expect("create output dir");
+    let path = dir.join(name);
+    std::fs::write(&path, text).expect("write output file");
+    let kind = path.extension().unwrap_or_default().to_string_lossy();
+    println!("  [{kind} written to {}]", path.display());
+}
+
 fn emit(fig: &Figure, failed: &[FailedJob], opts: &Options, violations: &mut Vec<String>) {
     println!("{}", render_text(fig));
     print!("{}", render_failures(failed));
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = dir.join(format!("{}.csv", fig.id));
-        std::fs::write(&path, render_csv(fig)).expect("write csv");
-        println!("  [csv written to {}]", path.display());
+        write_output(dir, &format!("{}.csv", fig.id), &render_csv(fig));
     }
     if let Some(dir) = &opts.svg_dir {
-        std::fs::create_dir_all(dir).expect("create svg dir");
-        let path = dir.join(format!("{}.svg", fig.id));
-        std::fs::write(&path, pipe_experiments::render_figure_svg(fig)).expect("write svg");
-        println!("  [svg written to {}]", path.display());
+        let svg = pipe_experiments::render_figure_svg(fig);
+        write_output(dir, &format!("{}.svg", fig.id), &svg);
     }
     if opts.check {
         let v = check_expectations(fig);
@@ -332,26 +339,19 @@ fn main() -> ExitCode {
     }
 
     if opts.profile {
-        use pipe_experiments::profile::{per_loop_profile, render_profile, render_profile_csv};
-        use pipe_experiments::StrategyKind;
-        let suite = pipe_workloads::livermore_benchmark();
-        let mem = pipe_mem::MemConfig {
-            access_cycles: 6,
-            in_bus_bytes: 8,
-            ..pipe_mem::MemConfig::default()
-        };
-        for kind in [StrategyKind::Pipe16x16, StrategyKind::Conventional] {
-            let fetch = kind
-                .fetch_for(128, pipe_icache::PrefetchPolicy::TruePrefetch)
-                .expect("valid");
-            let profile = per_loop_profile(&suite, fetch, &mem);
-            println!("{}", render_profile(&profile));
-            if let Some(dir) = &opts.csv_dir {
-                std::fs::create_dir_all(dir).expect("create csv dir");
-                let path = dir.join(format!("profile_{}.csv", kind.label()));
-                std::fs::write(&path, render_profile_csv(&profile)).expect("write profile csv");
-                println!("  [csv written to {}]", path.display());
+        match try_profile_with(&runner) {
+            Ok(run) => {
+                total_failed += run.failed().len();
+                for (kind, profile) in &run.profiles {
+                    println!("{}", render_profile(profile));
+                    if let Some(dir) = &opts.csv_dir {
+                        let name = format!("profile_{}.csv", kind.label());
+                        write_output(dir, &name, &render_profile_csv(profile));
+                    }
+                }
+                print!("{}", render_failures(run.failed()));
             }
+            Err(e) => return abort(&e),
         }
     }
 

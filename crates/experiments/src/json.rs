@@ -48,6 +48,38 @@ pub fn field_u64(text: &str, field: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// Renders unsigned-integer pairs as a JSON array of two-element arrays,
+/// `[[1,2],[3,4]]` — the form [`field_u64_pairs`] reads back.
+pub fn u64_pairs(pairs: &[(u64, u64)]) -> String {
+    let items: Vec<String> = pairs.iter().map(|(a, b)| format!("[{a},{b}]")).collect();
+    format!("[{}]", items.join(","))
+}
+
+/// Extracts an array of unsigned-integer pairs written by [`u64_pairs`].
+/// Anything else — a missing bracket, a pair of the wrong length, a
+/// non-integer, whitespace — returns `None`.
+pub fn field_u64_pairs(text: &str, field: &str) -> Option<Vec<(u64, u64)>> {
+    let mut rest = field_value(text, field)?.strip_prefix('[')?;
+    let mut pairs = Vec::new();
+    if rest.starts_with(']') {
+        return Some(pairs);
+    }
+    loop {
+        let (pair, after) = rest.strip_prefix('[')?.split_once(']')?;
+        let (a, b) = pair.split_once(',')?;
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|c| c.is_ascii_digit());
+        if !digits(a) || !digits(b) {
+            return None;
+        }
+        pairs.push((a.parse().ok()?, b.parse().ok()?));
+        match after.as_bytes().first()? {
+            b',' => rest = &after[1..],
+            b']' => return Some(pairs),
+            _ => return None,
+        }
+    }
+}
+
 /// Extracts a boolean field from a flat JSON object.
 pub fn field_bool(text: &str, field: &str) -> Option<bool> {
     let rest = field_value(text, field)?;
@@ -158,6 +190,26 @@ mod tests {
         assert_eq!(field_str(obj, "s").as_deref(), Some("hi"));
         assert_eq!(field_u64(obj, "missing"), None);
         assert_eq!(field_bool(obj, "n"), None);
+    }
+
+    #[test]
+    fn u64_pairs_round_trip_and_reject_malformed_arrays() {
+        for pairs in [vec![], vec![(0, 0)], vec![(57_844, 23_606), (u64::MAX, 1)]] {
+            let obj = format!("{{\"p\":{},\"n\":1}}", u64_pairs(&pairs));
+            assert_eq!(field_u64_pairs(&obj, "p"), Some(pairs));
+        }
+        for bad in [
+            "{\"p\":[[1,2]",
+            "{\"p\":[[1,2,3]]}",
+            "{\"p\":[[1]]}",
+            "{\"p\":[[1,-2]]}",
+            "{\"p\":[[1, 2]]}",
+            "{\"p\":[[1,2];[3,4]]}",
+            "{\"p\":[[1,99999999999999999999]]}",
+            "{\"p\":7}",
+        ] {
+            assert_eq!(field_u64_pairs(bad, "p"), None, "{bad}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! | Fig. 6a/6b — access 6, bus 8 B, non-pipelined/pipelined | [`figures::try_figure_with`]`("6a" / "6b", runner)` |
 //! | ablations (access 2–3, priority, prefetch policy, format, TIB) | [`figures::try_ablation_with`] |
 //! | design studies (IQ/IQB sizes, partial lines, ...) | [`studies::Study`] |
+//! | per-loop cycle profile (PIPE 16-16, conventional at 128 B) | [`profile::try_profile_with`] |
 //!
 //! Every figure is a cache-size sweep (16–512 bytes) of the five
 //! strategies of Table II (conventional plus the four PIPE
@@ -45,9 +46,11 @@ pub use figures::{
 };
 pub use json::stats_json;
 pub use matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
-pub use profile::{per_loop_profile, render_profile, render_profile_csv, LoopProfile, LoopShare};
+pub use profile::{
+    render_profile, render_profile_csv, try_profile_with, LoopProfile, LoopShare, ProfileRun,
+};
 pub use report::{check_expectations, render_csv, render_failures, render_text};
-pub use runner::{try_run_point, ExperimentPoint};
+pub use runner::{try_run_point, ExperimentPoint, RegionCounts};
 pub use store::{fnv1a64, PruneReport, ResultStore, StoreError, StoredPoint};
 pub use svg::render_figure_svg;
 pub use sweep::{

@@ -1,16 +1,35 @@
 //! Per-loop cycle attribution for the Livermore benchmark.
 //!
-//! Uses the trace [`RegionProfiler`] to charge every cycle of a benchmark
-//! run to the Livermore loop executing at the time, giving a per-kernel
-//! breakdown the paper's aggregate metric hides: which loops are
-//! fetch-bound at a given cache size, and which are data/FPU-bound.
+//! Charges every cycle of a benchmark run to the Livermore loop executing
+//! at the time, giving a per-kernel breakdown the paper's aggregate metric
+//! hides: which loops are fetch-bound at a given cache size, and which are
+//! data/FPU-bound.
+//!
+//! A profiled point is an ordinary sweep job whose regions are the loop
+//! bodies (see [`SweepJob::with_regions`]): the [`SweepRunner`] traces it
+//! with a [`RegionProfiler`](pipe_core::RegionProfiler), then memoizes,
+//! stores, and resumes it like any other point, so a warm
+//! `repro --profile --resume` loads the counts instead of tracing again.
 
-use pipe_core::{FetchStrategy, Processor, Region, RegionProfiler, SimConfig};
+use pipe_core::Region;
+use pipe_icache::PrefetchPolicy;
+use pipe_isa::InstrFormat;
 use pipe_mem::MemConfig;
 use pipe_workloads::LivermoreSuite;
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::figures::figure_mem;
+use crate::matrix::StrategyKind;
+use crate::runner::ExperimentPoint;
+use crate::sweep::{
+    livermore_suite, FailedJob, SweepError, SweepJob, SweepOutcome, SweepRunner, WorkloadSpec,
+};
+
+/// The strategies the paper profile attributes, in print order.
+pub const PROFILE_STRATEGIES: [StrategyKind; 2] =
+    [StrategyKind::Pipe16x16, StrategyKind::Conventional];
+
+/// The cache size of the paper profile, in bytes.
+pub const PROFILE_CACHE_BYTES: u32 = 128;
 
 /// One loop's share of a profiled run.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +58,7 @@ impl LoopShare {
 }
 
 /// A profiled benchmark run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopProfile {
     /// Strategy label.
     pub label: String,
@@ -51,19 +70,67 @@ pub struct LoopProfile {
     pub total_cycles: u64,
 }
 
-/// Runs the benchmark under (`fetch`, `mem`) and attributes cycles to each
-/// Livermore loop body.
+/// A profile run: the profiles of the jobs that completed, plus the
+/// runner's execution record.
+#[derive(Debug, Clone)]
+pub struct ProfileRun {
+    /// `(strategy, profile)` for each completed job, in job order.
+    pub profiles: Vec<(StrategyKind, LoopProfile)>,
+    /// The sweep's execution record (counts, failed jobs, event-log path).
+    pub outcome: SweepOutcome,
+}
+
+impl ProfileRun {
+    /// Jobs that failed, in job order (empty for a complete run).
+    pub fn failed(&self) -> &[FailedJob] {
+        &self.outcome.failed
+    }
+}
+
+/// Profiles [`PROFILE_STRATEGIES`] at [`PROFILE_CACHE_BYTES`] under the
+/// fig. 5b memory timing on the paper's benchmark, through `runner` (run
+/// id `profile`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the simulation fails — configurations are validated up
-/// front, so a failure is a bug.
-pub fn per_loop_profile(
-    suite: &LivermoreSuite,
-    fetch: FetchStrategy,
-    mem: &MemConfig,
-) -> LoopProfile {
-    let regions: Vec<Region> = suite
+/// Returns [`SweepError::Strict`] when the runner is strict and a job
+/// failed.
+pub fn try_profile_with(runner: &SweepRunner) -> Result<ProfileRun, SweepError> {
+    let points = PROFILE_STRATEGIES.map(|kind| (kind, PROFILE_CACHE_BYTES));
+    try_profile_points(runner, 1, &points, figure_mem("5b").0)
+}
+
+/// Profiles each `(strategy, cache size)` of `points` under `mem` on the
+/// Livermore benchmark at iteration divisor `scale`. A point whose cache
+/// is smaller than the strategy's line is skipped.
+fn try_profile_points(
+    runner: &SweepRunner,
+    scale: u32,
+    points: &[(StrategyKind, u32)],
+    mem: MemConfig,
+) -> Result<ProfileRun, SweepError> {
+    let format = InstrFormat::Fixed32;
+    let workload = WorkloadSpec::Livermore { format, scale };
+    let suite = livermore_suite(format, scale);
+    let mut jobs = Vec::new();
+    for &(kind, cache) in points {
+        if let Some(fetch) = kind.fetch_for(cache, PrefetchPolicy::TruePrefetch) {
+            let job = SweepJob::new(&workload, jobs.len(), kind, kind.label(), cache, fetch, mem);
+            jobs.push(job.with_regions(loop_regions(&suite)));
+        }
+    }
+    let outcome = runner.try_run_jobs("profile", &workload, &jobs)?;
+    let profiles = jobs
+        .iter()
+        .zip(&outcome.points)
+        .filter_map(|(job, o)| Some((job.kind, loop_profile(&suite, job, &o.as_ref()?.point))))
+        .collect();
+    Ok(ProfileRun { profiles, outcome })
+}
+
+/// One region per Livermore loop body, in loop order.
+fn loop_regions(suite: &LivermoreSuite) -> Vec<Region> {
+    suite
         .loops()
         .iter()
         .map(|info| Region {
@@ -71,26 +138,20 @@ pub fn per_loop_profile(
             start: info.top_address,
             end: info.top_address + info.inner_loop_bytes,
         })
-        .collect();
-    let profiler = Rc::new(RefCell::new(RegionProfiler::new(regions)));
+        .collect()
+}
 
-    let cfg = SimConfig {
-        fetch,
-        mem: *mem,
-        max_cycles: 2_000_000_000,
-        ..SimConfig::default()
-    };
-    let proc = Processor::new(suite.program(), &cfg).expect("valid config");
-    let mut proc = proc.with_trace(Rc::clone(&profiler));
-    proc.run().expect("benchmark runs");
-    let stats = proc.stats();
-
-    let p = profiler.borrow();
+/// The profile of a completed profiled job.
+fn loop_profile(suite: &LivermoreSuite, job: &SweepJob, point: &ExperimentPoint) -> LoopProfile {
+    let counts = point
+        .profile
+        .as_ref()
+        .expect("the runner serves a profiled job only a point with region counts");
     let shares = suite
         .loops()
         .iter()
-        .zip(p.results())
-        .map(|(info, (_, cycles, instructions))| LoopShare {
+        .zip(&counts.per_region)
+        .map(|(info, &(cycles, instructions))| LoopShare {
             index: info.index,
             name: info.name,
             inner_loop_bytes: info.inner_loop_bytes,
@@ -99,10 +160,10 @@ pub fn per_loop_profile(
         })
         .collect();
     LoopProfile {
-        label: fetch.label(),
+        label: job.fetch.label(),
         shares,
-        other_cycles: p.other_cycles(),
-        total_cycles: stats.cycles,
+        other_cycles: counts.other_cycles,
+        total_cycles: point.cycles,
     }
 }
 
@@ -164,17 +225,35 @@ pub fn render_profile_csv(profile: &LoopProfile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::StrategyKind;
-    use pipe_icache::PrefetchPolicy;
-    use pipe_isa::InstrFormat;
+    use crate::store::ResultStore;
+
+    /// Profiles `points` on the scaled suite under the fig. 5b timing.
+    fn scaled(runner: &SweepRunner, points: &[(StrategyKind, u32)]) -> ProfileRun {
+        try_profile_points(runner, 20, points, figure_mem("5b").0).unwrap()
+    }
+
+    const PAPER_POINTS: [(StrategyKind, u32); 2] = [
+        (StrategyKind::Pipe16x16, PROFILE_CACHE_BYTES),
+        (StrategyKind::Conventional, PROFILE_CACHE_BYTES),
+    ];
+
+    fn temp_store(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pipe-profile-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     #[test]
     fn profile_accounts_for_all_cycles() {
-        let suite = LivermoreSuite::build_scaled(InstrFormat::Fixed32, 20).unwrap();
-        let fetch = StrategyKind::Pipe16x16
-            .fetch_for(64, PrefetchPolicy::TruePrefetch)
-            .unwrap();
-        let profile = per_loop_profile(&suite, fetch, &MemConfig::default());
+        let run = try_profile_points(
+            &SweepRunner::new(),
+            20,
+            &[(StrategyKind::Pipe16x16, 64)],
+            MemConfig::default(),
+        )
+        .unwrap();
+        let (kind, profile) = &run.profiles[0];
+        assert_eq!(*kind, StrategyKind::Pipe16x16);
         let attributed: u64 = profile.shares.iter().map(|s| s.cycles).sum();
         assert_eq!(attributed + profile.other_cycles, profile.total_cycles);
         assert_eq!(profile.shares.len(), 14);
@@ -182,12 +261,12 @@ mod tests {
             assert!(s.instructions > 0, "LL{} never ran", s.index);
             assert!(s.cycles >= s.instructions, "LL{} CPI < 1", s.index);
         }
-        let text = render_profile(&profile);
+        let text = render_profile(profile);
         assert!(text.contains("LL14"));
 
         // CSV form: header, 14 loop rows, `other`, `total` — and the
         // cycle column re-sums to the run total.
-        let csv = render_profile_csv(&profile);
+        let csv = render_profile_csv(profile);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + 14 + 2);
         assert!(lines[0].starts_with("loop,name,"));
@@ -201,31 +280,151 @@ mod tests {
     #[test]
     fn fetch_bound_loops_improve_with_cache_size() {
         // LL8 (732 B body) is fetch-bound at 64 B but not at 512 B.
-        let suite = LivermoreSuite::build_scaled(InstrFormat::Fixed32, 20).unwrap();
-        let mem = MemConfig {
-            access_cycles: 6,
-            in_bus_bytes: 8,
-            ..MemConfig::default()
-        };
-        let small = per_loop_profile(
-            &suite,
-            StrategyKind::Pipe16x16
-                .fetch_for(64, PrefetchPolicy::TruePrefetch)
-                .unwrap(),
-            &mem,
+        let run = scaled(
+            &SweepRunner::new().jobs(2),
+            &[
+                (StrategyKind::Pipe16x16, 64),
+                (StrategyKind::Pipe16x16, 512),
+            ],
         );
-        let large = per_loop_profile(
-            &suite,
-            StrategyKind::Pipe16x16
-                .fetch_for(512, PrefetchPolicy::TruePrefetch)
-                .unwrap(),
-            &mem,
-        );
-        let ll8_small = small.shares[7].cpi();
-        let ll8_large = large.shares[7].cpi();
+        let ll8_small = run.profiles[0].1.shares[7].cpi();
+        let ll8_large = run.profiles[1].1.shares[7].cpi();
         assert!(
             ll8_large < ll8_small,
             "LL8 CPI should drop with a larger cache: {ll8_small:.2} -> {ll8_large:.2}"
         );
+    }
+
+    #[test]
+    fn warm_runner_loads_profiles_from_the_store() {
+        let dir = temp_store("warm");
+        let open = || ResultStore::open(&dir).unwrap();
+        let cold = scaled(&SweepRunner::new().jobs(2).store(open()), &PAPER_POINTS);
+        assert_eq!((cold.outcome.computed, cold.outcome.cached), (2, 0));
+
+        let warm = scaled(
+            &SweepRunner::new().store(open()).resume(true).events(&dir),
+            &PAPER_POINTS,
+        );
+        assert_eq!((warm.outcome.computed, warm.outcome.cached), (0, 2));
+        assert_eq!(warm.profiles, cold.profiles);
+        for ((_, w), (_, c)) in warm.profiles.iter().zip(&cold.profiles) {
+            assert_eq!(render_profile_csv(w), render_profile_csv(c));
+        }
+        let log = std::fs::read_to_string(warm.outcome.events_path.unwrap()).unwrap();
+        assert_eq!(log.matches("\"source\":\"store\"").count(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn second_profile_on_one_runner_is_a_memo_hit() {
+        let runner = SweepRunner::new();
+        let first = scaled(&runner, &PAPER_POINTS[..1]);
+        let again = scaled(&runner, &PAPER_POINTS[..1]);
+        assert_eq!((again.outcome.computed, again.outcome.cached), (0, 1));
+        assert_eq!(again.profiles, first.profiles);
+        let hit = &again.outcome.points[0].as_ref().unwrap().point;
+        let orig = &first.outcome.points[0].as_ref().unwrap().point;
+        assert_eq!(hit.stats, orig.stats, "the whole SimStats");
+    }
+
+    #[test]
+    fn profiled_key_extends_the_plain_key_and_leaves_its_entry_alone() {
+        let dir = temp_store("keys");
+        let runner = SweepRunner::new().store(ResultStore::open(&dir).unwrap());
+        let spec = crate::sweep::SweepSpec {
+            strategies: vec![StrategyKind::Pipe16x16],
+            cache_sizes: vec![PROFILE_CACHE_BYTES],
+            workload: WorkloadSpec::Livermore {
+                format: InstrFormat::Fixed32,
+                scale: 20,
+            },
+            ..crate::sweep::SweepSpec::figure("5b")
+        };
+        let plain_job = &spec.expand()[0];
+        let plain = runner.run(&spec);
+        let store_file = |key: &str| {
+            let name = format!("{:016x}.json", crate::store::fnv1a64(key.as_bytes()));
+            std::fs::read(ResultStore::open(&dir).unwrap().dir().join(name)).unwrap()
+        };
+        let plain_entry = store_file(plain_job.key());
+
+        let run = scaled(&runner, &PAPER_POINTS[..1]);
+        assert_eq!((run.outcome.computed, run.outcome.cached), (1, 0));
+        let profiled_job = &SweepJob::new(
+            &spec.workload,
+            0,
+            StrategyKind::Pipe16x16,
+            "16-16",
+            PROFILE_CACHE_BYTES,
+            plain_job.fetch,
+            spec.mem,
+        )
+        .with_regions(loop_regions(&livermore_suite(InstrFormat::Fixed32, 20)));
+        assert_ne!(profiled_job.key(), plain_job.key());
+        let suffix = profiled_job.key().strip_prefix(plain_job.key()).unwrap();
+        assert!(suffix.starts_with("|regions="), "{suffix}");
+        assert_eq!(store_file(plain_job.key()), plain_entry);
+        assert!(!String::from_utf8(plain_entry).unwrap().contains("regions"));
+        assert!(String::from_utf8(store_file(profiled_job.key()))
+            .unwrap()
+            .contains("\"regions\":{"));
+        assert_eq!(ResultStore::open(&dir).unwrap().len(), 2);
+
+        // Tracing changes no statistic of the point.
+        let traced = &run.outcome.points[0].as_ref().unwrap().point;
+        let untraced = &plain.points[0].as_ref().unwrap().point;
+        assert_eq!(traced.stats, untraced.stats);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_profile_job_is_reported_and_aborts_a_strict_run() {
+        let inject = crate::sweep::FaultInjection {
+            panic_jobs: vec![0],
+            ..Default::default()
+        };
+        let run = scaled(&SweepRunner::new().inject(inject.clone()), &PAPER_POINTS);
+        assert_eq!(run.failed().len(), 1);
+        assert_eq!(run.failed()[0].label, "16-16");
+        assert_eq!(run.profiles.len(), 1);
+        assert_eq!(run.profiles[0].0, StrategyKind::Conventional);
+
+        let strict = SweepRunner::new().strict(true).inject(inject);
+        let err = try_profile_points(&strict, 20, &PAPER_POINTS, figure_mem("5b").0).unwrap_err();
+        assert_eq!(err.partial().failed.len(), 1);
+    }
+
+    #[test]
+    fn profiled_entry_without_regions_is_recomputed() {
+        let dir = temp_store("stripped");
+        let open = || ResultStore::open(&dir).unwrap();
+        let cold = scaled(&SweepRunner::new().store(open()), &PAPER_POINTS);
+        // Strip the region field from the first job's entry: it must read
+        // as absent, not as a profile with no loops.
+        let path = std::fs::read_dir(open().dir())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| {
+                std::fs::read_to_string(p)
+                    .unwrap()
+                    .contains("\"strategy\":\"16-16\"")
+            })
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.find(",\"regions\":").unwrap();
+        std::fs::write(&path, format!("{}}}\n", &text[..at])).unwrap();
+
+        let warm = scaled(
+            &SweepRunner::new().store(open()).resume(true),
+            &PAPER_POINTS,
+        );
+        assert_eq!((warm.outcome.computed, warm.outcome.cached), (1, 1));
+        assert!(!warm.outcome.points[0].as_ref().unwrap().cached);
+        assert_eq!(warm.profiles, cold.profiles);
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"regions\":{"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -174,6 +174,7 @@ mod tests {
             cache_bytes,
             cycles,
             stats: SimStats::default(),
+            profile: None,
         }
     }
 

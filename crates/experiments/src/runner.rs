@@ -1,8 +1,12 @@
 //! Running a single experiment point.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use pipe_core::{run_decoded, FetchStrategy, SimConfig, SimError, SimStats};
+use pipe_core::{
+    run_decoded, FetchStrategy, Processor, Region, RegionProfiler, SimConfig, SimError, SimStats,
+};
 use pipe_isa::{DecodedProgram, Program};
 use pipe_mem::MemConfig;
 
@@ -15,6 +19,19 @@ pub struct ExperimentPoint {
     pub cycles: u64,
     /// Full statistics, for deeper analysis.
     pub stats: SimStats,
+    /// What a profiled point charged to each of its job's regions; `None`
+    /// for a plain point.
+    pub profile: Option<RegionCounts>,
+}
+
+/// The cycles and instructions a traced run charged to each region of a
+/// profiled job (see [`RegionProfiler`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionCounts {
+    /// `(cycles, instructions)` per region, in the job's region order.
+    pub per_region: Vec<(u64, u64)>,
+    /// Cycles outside every region (prologues, drain).
+    pub other_cycles: u64,
 }
 
 /// Runs `program` under (`fetch`, `mem`) and returns the measured point,
@@ -66,6 +83,39 @@ pub fn try_run_point_decoded(
         cache_bytes,
         cycles: stats.cycles,
         stats,
+        profile: None,
+    })
+}
+
+/// Like [`try_run_point_decoded`], but traces the run with a
+/// [`RegionProfiler`] over `regions` and keeps its counts in the point's
+/// `profile`.
+///
+/// # Errors
+///
+/// Returns the [`SimError`] the simulator reported (configuration,
+/// decode, or timeout).
+pub fn try_run_profiled_decoded(
+    decoded: &Arc<DecodedProgram>,
+    fetch: FetchStrategy,
+    mem: &MemConfig,
+    cache_bytes: u32,
+    regions: &[Region],
+) -> Result<ExperimentPoint, SimError> {
+    let profiler = Rc::new(RefCell::new(RegionProfiler::new(regions.to_vec())));
+    let mut proc = Processor::from_decoded(decoded, &point_config(fetch, mem))?
+        .with_trace(Rc::clone(&profiler));
+    proc.run()?;
+    let stats = proc.into_stats();
+    let profiler = profiler.borrow();
+    Ok(ExperimentPoint {
+        cache_bytes,
+        cycles: stats.cycles,
+        stats,
+        profile: Some(RegionCounts {
+            per_region: profiler.results().map(|(_, c, i)| (c, i)).collect(),
+            other_cycles: profiler.other_cycles(),
+        }),
     })
 }
 

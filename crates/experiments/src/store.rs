@@ -21,6 +21,13 @@
 //! format (headline fields only) still load, with the extra fields
 //! zeroed.
 //!
+//! A profiled point (a job with regions, see
+//! [`crate::sweep::SweepJob::key`]) also persists its per-region counts in
+//! one more field, `"regions"`, written last and only for such points, so
+//! a plain entry is byte-for-byte what it was before profiled points
+//! existed. A malformed `"regions"` field makes the whole entry read as
+//! absent.
+//!
 //! The JSON is hand-rolled via [`crate::json`] (flat object,
 //! integer/string values, the standard string escapes) because the
 //! workspace deliberately has no external dependencies.
@@ -35,8 +42,8 @@ use std::time::Duration;
 use pipe_core::SimStats;
 use pipe_icache::FetchStats;
 
-use crate::json::{escape, field_str, field_u64};
-use crate::runner::ExperimentPoint;
+use crate::json::{escape, field_str, field_u64, field_u64_pairs, field_value, u64_pairs};
+use crate::runner::{ExperimentPoint, RegionCounts};
 
 /// Store layout version; bump when the entry format or key scheme
 /// changes.
@@ -116,6 +123,8 @@ pub struct StoredPoint {
     /// counters; queue-occupancy and the remaining memory-system
     /// counters are zero.
     pub stats: SimStats,
+    /// A profiled point's per-region counts; `None` for a plain point.
+    pub profile: Option<RegionCounts>,
 }
 
 /// The subset of `stats` the store persists: the JSON report surface
@@ -160,6 +169,7 @@ impl StoredPoint {
             cache_bytes: point.cache_bytes,
             wall_ms,
             stats: persisted_stats(&point.stats),
+            profile: point.profile.clone(),
         }
     }
 
@@ -171,12 +181,13 @@ impl StoredPoint {
             cache_bytes: self.cache_bytes,
             cycles: self.stats.cycles,
             stats: self.stats.clone(),
+            profile: self.profile.clone(),
         }
     }
 
     fn to_json(&self) -> String {
         let s = &self.stats;
-        format!(
+        let mut json = format!(
             concat!(
                 "{{\"version\":{},\"key\":\"{}\",\"strategy\":\"{}\",",
                 "\"cache_bytes\":{},\"cycles\":{},\"instructions\":{},",
@@ -188,7 +199,7 @@ impl StoredPoint {
                 "\"demand_requests\":{},\"prefetch_requests\":{},",
                 "\"redirects\":{},\"wasted_requests\":{},",
                 "\"d_hits\":{},\"d_misses\":{},\"d_store_hits\":{},",
-                "\"contended_cycles\":{}}}\n"
+                "\"contended_cycles\":{}"
             ),
             STORE_VERSION,
             escape(&self.key),
@@ -217,7 +228,16 @@ impl StoredPoint {
             s.mem.d_misses,
             s.mem.d_store_hits,
             s.mem.contended_cycles,
-        )
+        );
+        if let Some(p) = &self.profile {
+            json.push_str(&format!(
+                ",\"regions\":{{\"other_cycles\":{},\"per_region\":{}}}",
+                p.other_cycles,
+                u64_pairs(&p.per_region)
+            ));
+        }
+        json.push_str("}\n");
+        json
     }
 
     fn from_json(text: &str) -> Option<StoredPoint> {
@@ -259,12 +279,23 @@ impl StoredPoint {
         stats.mem.d_misses = opt("d_misses");
         stats.mem.d_store_hits = opt("d_store_hits");
         stats.mem.contended_cycles = opt("contended_cycles");
+        let profile = match field_value(text, "regions") {
+            None => None,
+            Some(regions) => {
+                let regions = regions.strip_prefix('{')?;
+                Some(RegionCounts {
+                    other_cycles: field_u64(regions, "other_cycles")?,
+                    per_region: field_u64_pairs(regions, "per_region")?,
+                })
+            }
+        };
         Some(StoredPoint {
             key: field_str(text, "key")?,
             strategy: field_str(text, "strategy")?,
             cache_bytes: u32::try_from(field_u64(text, "cache_bytes")?).ok()?,
             wall_ms: field_u64(text, "wall_ms")?,
             stats,
+            profile,
         })
     }
 }
@@ -561,6 +592,7 @@ mod tests {
             cache_bytes: 64,
             wall_ms: 42,
             stats,
+            profile: None,
         }
     }
 
@@ -600,6 +632,32 @@ mod tests {
         assert_eq!(entry.stats.loads, 0);
         assert_eq!(entry.stats.fetch.demand_requests, 0);
         assert_eq!(entry.to_point().cycles, 777);
+    }
+
+    #[test]
+    fn region_counts_round_trip_only_on_profiled_entries() {
+        let plain = sample("v1|plain").to_json();
+        assert!(!plain.contains("regions"), "plain entries gain no field");
+
+        let mut entry = sample("v1|plain|regions=00000000000000ab");
+        entry.profile = Some(RegionCounts {
+            per_region: vec![(57_844, 23_606), (11_556, 2_550)],
+            other_cycles: 188,
+        });
+        let json = entry.to_json();
+        assert!(json.ends_with(
+            ",\"regions\":{\"other_cycles\":188,\"per_region\":[[57844,23606],[11556,2550]]}}\n"
+        ));
+        assert_eq!(StoredPoint::from_json(&json).unwrap(), entry);
+        assert_eq!(entry.to_point().profile, entry.profile);
+
+        // A malformed region field makes the whole entry absent.
+        for bad in ["[[57844,23606],[11556]]", "[[57844,23606],[11556,x]]", "7"] {
+            let text = json.replace("[[57844,23606],[11556,2550]]", bad);
+            assert!(StoredPoint::from_json(&text).is_none(), "{bad}");
+        }
+        let text = json.replace("\"other_cycles\":188,", "");
+        assert!(StoredPoint::from_json(&text).is_none());
     }
 
     #[test]

@@ -208,6 +208,7 @@ mod tests {
                     cache_bytes,
                     cycles,
                     stats: SimStats::default(),
+                    profile: None,
                 })
                 .collect(),
         };

@@ -53,7 +53,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pipe_core::FetchStrategy;
+use pipe_core::{FetchStrategy, Region};
 use pipe_icache::PrefetchPolicy;
 use pipe_isa::{DecodedProgram, InstrFormat, Program};
 use pipe_mem::MemConfig;
@@ -63,7 +63,7 @@ use crate::backoff::{BackoffPolicy, Retry};
 use crate::events::RunLog;
 use crate::figures::{figure_mem, Series};
 use crate::matrix::{sweep_sizes, StrategyKind, ALL_STRATEGIES};
-use crate::runner::{try_run_point_decoded, ExperimentPoint};
+use crate::runner::{try_run_point_decoded, try_run_profiled_decoded, ExperimentPoint};
 use crate::store::{ResultStore, StoredPoint};
 
 /// The benchmark a sweep runs. Declarative (rather than a prebuilt
@@ -178,15 +178,7 @@ impl WorkloadSpec {
     pub fn build(&self) -> Program {
         match self {
             WorkloadSpec::Livermore { format, scale } => {
-                let suite = if *scale <= 1 {
-                    LivermoreSuite::build(*format)
-                } else {
-                    LivermoreSuite::build_scaled(*format, *scale)
-                };
-                suite
-                    .expect("livermore benchmark assembles")
-                    .program()
-                    .clone()
+                livermore_suite(*format, *scale).program().clone()
             }
             WorkloadSpec::TightLoop {
                 body,
@@ -222,6 +214,17 @@ impl WorkloadSpec {
             }
         }
     }
+}
+
+/// The suite behind [`WorkloadSpec::Livermore`] (a `scale` of 0 reads
+/// as 1).
+///
+/// # Panics
+///
+/// Panics if the built-in benchmark fails to assemble (a bug, not a
+/// configuration error).
+pub(crate) fn livermore_suite(format: InstrFormat, scale: u32) -> LivermoreSuite {
+    LivermoreSuite::build_scaled(format, scale.max(1)).expect("livermore benchmark assembles")
 }
 
 /// Canonical key fragment for a memory configuration: every field, in a
@@ -337,6 +340,9 @@ pub struct SweepJob {
     pub fetch: FetchStrategy,
     /// External memory parameters.
     pub mem: MemConfig,
+    /// Program regions a profiled job charges its cycles to (see
+    /// [`SweepJob::with_regions`]); empty for a plain job.
+    pub regions: Vec<Region>,
     key: String,
 }
 
@@ -365,15 +371,46 @@ impl SweepJob {
             cache_bytes,
             fetch,
             mem,
+            regions: Vec::new(),
             key,
         }
     }
 
+    /// Makes this a profiled job: it runs traced by a
+    /// [`RegionProfiler`](pipe_core::RegionProfiler) over `regions` (on an
+    /// executed workload, not a trace replay), and its point carries the
+    /// per-region counts. The key gains a
+    /// `|regions=<FNV-1a 64 of the list>` suffix, so a profiled point never
+    /// shares an entry with the plain point of the same configuration.
+    pub(crate) fn with_regions(mut self, regions: Vec<Region>) -> SweepJob {
+        let list: String = regions
+            .iter()
+            .map(|r| format!("{}:{:x}-{:x};", r.name, r.start, r.end))
+            .collect();
+        self.key = format!(
+            "{}|regions={:016x}",
+            self.key,
+            crate::store::fnv1a64(list.as_bytes())
+        );
+        self.regions = regions;
+        self
+    }
+
     /// The canonical configuration key this point is stored under: it
-    /// covers workload, memory timing, and the complete fetch geometry,
-    /// so equal keys simulate identically.
+    /// covers workload, memory timing, the complete fetch geometry, and
+    /// (for a profiled job) the region list, so equal keys simulate
+    /// identically.
     pub fn key(&self) -> &str {
         &self.key
+    }
+
+    /// Whether `point` has what this job measures: per-region counts for
+    /// each of a profiled job's regions, none for a plain job.
+    fn fits(&self, point: &ExperimentPoint) -> bool {
+        match &point.profile {
+            Some(p) => !self.regions.is_empty() && p.per_region.len() == self.regions.len(),
+            None => self.regions.is_empty(),
+        }
     }
 }
 
@@ -734,7 +771,8 @@ impl SweepRunner {
                 Some(point) => Some((point, "memo")),
                 None => self
                     .load_cached(&run, job)
-                    .map(|entry| (entry.to_point(), "store")),
+                    .map(|entry| (entry.to_point(), "store"))
+                    .filter(|(point, _)| job.fits(point)),
             };
             let Some((point, source)) = hit else {
                 pending.push(job);
@@ -929,6 +967,14 @@ impl SweepRunner {
                     &job.mem,
                     job.cache_bytes,
                 ),
+                _ if !job.regions.is_empty() => try_run_profiled_decoded(
+                    program,
+                    job.fetch,
+                    &job.mem,
+                    job.cache_bytes,
+                    &job.regions,
+                )
+                .map_err(|e| e.to_string()),
                 _ => try_run_point_decoded(program, job.fetch, &job.mem, job.cache_bytes)
                     .map_err(|e| e.to_string()),
             }

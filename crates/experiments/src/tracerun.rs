@@ -131,6 +131,7 @@ pub fn point_from_replay(stats: &ReplayStats, cache_bytes: u32) -> ExperimentPoi
         cache_bytes,
         cycles: stats.cycles,
         stats: s,
+        profile: None,
     }
 }
 
